@@ -47,7 +47,6 @@ from .geometry import Point, Tolerance
 from .sim import (
     AdversarialStop,
     AntiGatherByzantine,
-    AsyncSimulation,
     CollusiveStop,
     ElectionThiefByzantine,
     CrashAfterMove,
@@ -90,7 +89,6 @@ __all__ = [
     "Tolerance",
     "AdversarialStop",
     "AntiGatherByzantine",
-    "AsyncSimulation",
     "CollusiveStop",
     "ElectionThiefByzantine",
     "OscillatingByzantine",

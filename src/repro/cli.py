@@ -952,8 +952,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .experiments.runner import run_batch
+    from .experiments.runner import resolve_batch_size, run_batch
 
+    try:
+        resolve_batch_size(args.batch_size)
+    except ValueError as exc:
+        print(f"error: --batch-size: {exc}", file=sys.stderr)
+        return 2
     if args.resume and not args.journal:
         print("error: --resume requires --journal", file=sys.stderr)
         return 2

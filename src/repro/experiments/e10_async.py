@@ -2,8 +2,8 @@
 
 The paper proves Theorem 5.1 in the ATOM model only and leaves ASYNC
 open.  Here we decouple Look and Move (robots act on stale snapshots;
-see :mod:`repro.sim.async_engine`) and measure whether the algorithm
-still gathers.
+see :class:`repro.sim.lcm.PhasedActivation`) and measure whether the
+algorithm still gathers.
 
 This is an *exploration*, not a reproduction: the paper makes no claim
 either way.  Empirical expectation from the structure of the algorithm:
@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import List
 
 from ..algorithms import WaitFreeGather
-from ..sim import AsyncSimulation, summarize_runs
+from ..sim import PhasedActivation, Simulation, summarize_runs
 from ..workloads import generate
 from .report import Table
 from .runner import make_crashes, make_movement, make_scheduler
@@ -69,14 +69,16 @@ def run(quick: bool = True) -> List[Table]:
             stale_total = 0
             for workload in WORKLOADS:
                 for seed in seeds:
-                    sim = AsyncSimulation(
+                    sim = Simulation(
                         WaitFreeGather(),
                         generate(workload, n, seed),
                         scheduler=make_scheduler(scheduler),
                         crash_adversary=make_crashes("random", n - 1),
                         movement=make_movement("random-stop"),
+                        activation=PhasedActivation(),
                         seed=seed * 17 + 3,
-                        max_ticks=100_000,
+                        fairness_bound=64,
+                        max_rounds=100_000,
                     )
                     results.append(sim.run())
                     stale_total += sim.stale_moves

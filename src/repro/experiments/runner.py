@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from .. import obs as _obs
 from ..obs import aggregate
@@ -47,6 +47,7 @@ from ..sim import (
     LaggardAdversary,
     NoCrashes,
     PerRobotSpeed,
+    PhasedActivation,
     PoissonScheduler,
     RandomCrashes,
     RandomStop,
@@ -57,7 +58,6 @@ from ..sim import (
     Simulation,
     SimulationResult,
 )
-from ..sim.async_engine import AsyncSimulation
 from ..sim.trace import TraceMeta
 from ..workloads import generate
 
@@ -68,6 +68,7 @@ __all__ = [
     "run_batch",
     "run_batched",
     "DEFAULT_BATCH_SIZE",
+    "resolve_batch_size",
     "parallel_map",
     "executor",
     "make_scheduler",
@@ -79,6 +80,16 @@ __all__ = [
 #: batched sweep.  Large enough to amortize the per-round kernel calls,
 #: small enough that a chunk retry after a worker crash stays cheap.
 DEFAULT_BATCH_SIZE = 64
+
+
+def resolve_batch_size(batch_size: Optional[int]) -> int:
+    """The batched chunk size: ``None`` means :data:`DEFAULT_BATCH_SIZE`,
+    and zero or negative sizes are rejected."""
+    if batch_size is None:
+        return DEFAULT_BATCH_SIZE
+    if batch_size <= 0:
+        raise ValueError(f"batch_size must be positive, got {batch_size}")
+    return batch_size
 
 
 #: Scheduler factories by name; fresh instances per run (schedulers may
@@ -143,8 +154,8 @@ class Scenario:
     halt_on_bivalent: bool = True
     #: Execution model: ``"atom"`` (the paper's semi-synchronous rounds),
     #: ``"async"`` (the CORDA tick engine; ``max_rounds`` then bounds
-    #: ticks) or ``"batched"`` (the structure-of-arrays engine stepping
-    #: many seeds per vectorized round, seed-equivalent to ``"atom"``).
+    #: ticks) or ``"batched"`` (many seeds stepped in lockstep through
+    #: the same round ladder, seed-equivalent to ``"atom"``).
     #: Part of the scenario — and therefore of the trace schema — so
     #: archived ASYNC runs replay on the right engine.
     engine: str = "atom"
@@ -189,7 +200,7 @@ def build_simulation(
     *,
     engine_seed: Optional[int] = None,
     record_trace: bool = False,
-) -> Union[Simulation, AsyncSimulation]:
+) -> Simulation:
     """The one construction path from a scenario to an engine instance.
 
     ``repro check --replay`` rebuilds archived runs through this exact
@@ -205,35 +216,25 @@ def build_simulation(
     resolved_seed = (
         scenario.engine_seed(seed) if engine_seed is None else engine_seed
     )
-    if scenario.engine == "async":
-        return AsyncSimulation(
-            algorithm,
-            points,
-            scheduler=make_scheduler(scenario.scheduler),
-            crash_adversary=make_crashes(scenario.crashes, scenario.f),
-            movement=make_movement(scenario.movement),
-            seed=resolved_seed,
-            frames=scenario.frames,
-            max_ticks=scenario.max_rounds,
-            halt_on_bivalent=scenario.halt_on_bivalent,
-            record_trace=record_trace,
-            visibility=scenario.visibility,
-        )
     if scenario.engine == "batched":
         raise ValueError(
             "the batched engine steps many seeds per instance; build it "
             "through run_batched()/run_batch(), not build_simulation()"
         )
-    if scenario.engine != "atom":
+    if scenario.engine not in ("atom", "async"):
         raise ValueError(f"unknown engine {scenario.engine!r}")
+    phased = scenario.engine == "async"
     return Simulation(
         algorithm,
         points,
         scheduler=make_scheduler(scenario.scheduler),
         crash_adversary=make_crashes(scenario.crashes, scenario.f),
         movement=make_movement(scenario.movement),
+        activation=PhasedActivation() if phased else None,
         seed=resolved_seed,
         frames=scenario.frames,
+        # An ASYNC cycle takes two activations, hence the looser bound.
+        fairness_bound=64 if phased else 32,
         max_rounds=scenario.max_rounds,
         halt_on_bivalent=scenario.halt_on_bivalent,
         record_trace=record_trace,
@@ -368,9 +369,7 @@ def run_batched(
     ``batch_size`` returns the same results.
     """
     seeds = list(seeds)
-    size = batch_size or DEFAULT_BATCH_SIZE
-    if size <= 0:
-        raise ValueError(f"batch_size must be positive, got {size}")
+    size = resolve_batch_size(batch_size)
     results: List[SimulationResult] = []
     for i in range(0, len(seeds), size):
         chunk_engine_seeds = (
@@ -566,6 +565,7 @@ def run_batch(
     the scalar replay reproduce the batched run.
     """
     seeds = list(seeds)
+    size = resolve_batch_size(batch_size)
     completed: Dict[int, SimulationResult] = {}
     journal: Optional[SweepJournal] = None
     if journal_path:
@@ -589,7 +589,6 @@ def run_batch(
 
     try:
         if scenario.engine == "batched":
-            size = batch_size or DEFAULT_BATCH_SIZE
             chunks = [todo[i : i + size] for i in range(0, len(todo), size)]
 
             def checkpoint_chunk(index: int, results) -> None:

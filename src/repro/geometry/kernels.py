@@ -62,7 +62,6 @@ __all__ = [
     "batched_polar_views",
     "batched_max_ray_loads",
     "batched_weiszfeld",
-    "batched_gather_candidates",
 ]
 
 # NumPy is optional; the pure-Python backend needs nothing.  Only a
@@ -787,32 +786,3 @@ def batched_weiszfeld(
         y[ia] = ny
         active[ia[hold | (moved <= eps_solver)]] = False
     return list(zip(x.tolist(), y.tolist(), iters.tolist()))
-
-
-@_timed
-def batched_gather_candidates(positions, live, eps_dist) -> List[bool]:
-    """Conservative per-sim "all live robots co-located" prefilter.
-
-    ``positions`` is ``(S, R, 2)`` and ``live`` ``(S, R)`` boolean
-    array-likes.  A sim is a candidate when every live robot lies within
-    the slackened tolerance of the first live robot (the scalar
-    predicate's anchor).  The threshold carries relative headroom for
-    the <=1-ulp difference between ``np.hypot`` and ``math.hypot``:
-    True may be a false positive (callers re-check with the exact
-    scalar predicate) but False is always exact — no live-robot pair
-    farther apart than the slack can be gathered under ``eps_dist``.
-    Sims with no live robot are not candidates (the scalar predicate
-    returns no spot for them either).
-    """
-    pos = _np.asarray(positions, dtype=_np.float64)
-    lv = _np.asarray(live, dtype=bool)
-    s_count = lv.shape[0]
-    any_live = lv.any(axis=1)
-    first = _np.argmax(lv, axis=1)
-    anchor = pos[_np.arange(s_count), first]
-    d = _np.hypot(
-        pos[:, :, 0] - anchor[:, None, 0], pos[:, :, 1] - anchor[:, None, 1]
-    )
-    slack = eps_dist * (1.0 + 1e-9) + 1e-300
-    ok = (d <= slack) | ~lv
-    return (ok.all(axis=1) & any_live).tolist()

@@ -5,7 +5,6 @@ the ASYNC/CORDA model; the pluggable activation models in
 :mod:`repro.sim.lcm` select between them.
 """
 
-from .async_engine import AsyncSimulation
 from .batch import BatchedSimulation
 from .byzantine import (
     AntiGatherByzantine,
@@ -14,7 +13,7 @@ from .byzantine import (
     OscillatingByzantine,
     StationaryByzantine,
 )
-from .engine import Simulation, SimulationResult, Verdict, component_rng, snap_destination
+from .engine import Simulation, SimulationResult, Verdict, component_rng
 from .lcm import ActivationModel, AtomicActivation, PendingMove, PhasedActivation
 from .faults import (
     CrashAdversary,
@@ -58,7 +57,6 @@ from .replay import (
 )
 
 __all__ = [
-    "AsyncSimulation",
     "BatchedSimulation",
     "AntiGatherByzantine",
     "ByzantinePolicy",
@@ -69,7 +67,6 @@ __all__ = [
     "SimulationResult",
     "Verdict",
     "component_rng",
-    "snap_destination",
     "ActivationModel",
     "AtomicActivation",
     "PendingMove",

@@ -1,11 +1,13 @@
-"""Batched structure-of-arrays ATOM engine: many seeds per round.
+"""Batched ATOM engine: many seeds stepped in lockstep.
 
 A 10k-seed sweep runs 10k independent round loops over the *same*
 scenario shape — same robot count, same component models, different RNG
-substreams and workload draws.  The scalar engine spends almost all of
-its time rebuilding per-robot analysis towers (cluster merge, views,
-ray structure, Weber iteration); :class:`BatchedSimulation` amortizes
-that work two ways:
+substreams and workload draws.  Each sim of a :class:`BatchedSimulation`
+is a :class:`~repro.sim.engine.Simulation` climbing the scalar engine's
+own round ladder (:meth:`~repro.sim.engine.Simulation.ladder`) — crash
+adversaries, fair scheduling, movement models, the gathered / bivalent /
+stalled verdicts and the per-component RNG substreams are that one
+implementation.  The batch adds the two things that make it fast:
 
 * **One tower per sim per round.**  The algorithm is anonymous and
   equivariant under the robots' private similarity frames (asserted by
@@ -14,42 +16,31 @@ that work two ways:
   by co-located robots — instead of one full tower per robot in its
   private frame.  Outcomes agree with the scalar engine to frame
   round-trip noise (~1e-12), which the engine's snap tolerance absorbs.
-* **Sims-axis kernels.**  Per-robot state lives in structure-of-arrays
-  form — positions ``(n_sims, n_robots, 2)``, live masks, round
-  counters — and the expensive per-round analyses are pre-seeded across
-  all unretired sims with one vectorized call each (gathered prefilter,
-  batched Weiszfeld for quasi-regularity detection, batched views and
-  ray loads for asymmetric elections) via the ``batched_*`` kernels of
-  :mod:`repro.geometry.kernels`.  Seeding happens only under conditions
-  where the scalar path would call the same 2-D kernel, so per-backend
-  equivalence stays tight.
+* **Sims-axis memo seeding.**  The ladders pause before classifying
+  and before the stall check; at those points the expensive analyses
+  are pre-seeded across all unfinished sims with one vectorized call
+  each (batched Weiszfeld for quasi-regularity detection, batched views
+  and ray loads for asymmetric elections) via the ``batched_*`` kernels
+  of :mod:`repro.geometry.kernels`.  Seeding happens only under
+  conditions where the scalar path would call the same 2-D kernel, so
+  per-backend equivalence stays tight.
 
-Model semantics — crash adversaries, fair scheduling, movement models,
-the gathered/stalled/bivalent verdict ladder, per-component RNG
-substreams — replicate :class:`repro.sim.engine.Simulation` statement
-for statement; the equivalence suite asserts seed-for-seed identical
-verdicts and round counts with final positions inside the recorded
-tolerance.
+The equivalence suite asserts seed-for-seed identical verdicts and round
+counts against the scalar engine, with final positions inside the
+recorded tolerance.
 
-Deliberately out of scope (constructor raises): byzantine robots,
-limited visibility, mirrored frames, sensor noise, per-round traces and
-observers.  Those knobs are single-seed experiment tools; sweeps that
-need them use the scalar engine.
+Deliberately out of scope: byzantine robots, limited visibility,
+mirrored frames, sensor noise and per-round traces.  Those knobs are
+single-seed experiment tools; sweeps that need them use the scalar
+engine.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..algorithms.base import GatheringAlgorithm
-from ..core import (
-    BivalentConfigurationError,
-    ConfigClass,
-    Configuration,
-    GatheringError,
-    classify,
-)
+from ..core import ConfigClass, Configuration
 from ..core import classification as _classification
 from ..core.successor import MAX_ANGULAR_RESOLUTION
 from ..core.views import _polar_view
@@ -57,19 +48,43 @@ from ..geometry import DEFAULT_TOLERANCE, Point, Tolerance, kernels
 from ..geometry.predicates import all_collinear
 from ..geometry.weber import _initial_guess, is_weber_point
 from .. import obs as _obs
-from .engine import SimulationResult, Verdict, component_rng, snap_destination
-from .faults import CrashAdversary, NoCrashes
-from .gathering import gathered_point
-from .movement import MovementModel, RigidMovement
-from .scheduler import FairnessWrapper, FullySynchronous, Scheduler
+from .engine import Simulation, SimulationResult
+from .faults import CrashAdversary
+from .movement import MovementModel
+from .robot import Robot
+from .scheduler import Scheduler
 
 __all__ = ["BatchedSimulation"]
 
-_UNSET = object()
+
+class _GlobalFrameSimulation(Simulation):
+    """One sim of a batch: the scalar ladder with a global-frame LOOK."""
+
+    _look_config: Optional[Configuration] = None
+
+    def _destination_for(
+        self, robot: Robot, config: Configuration
+    ) -> Optional[Point]:
+        # Co-located robots receive the same instruction (the algorithm
+        # is anonymous), so each occupied position of a configuration is
+        # computed once, in the global frame.
+        if config is not self._look_config:
+            self._look_config = config
+            self._look_dests: Dict[Point, Point] = {}
+        rep = config.locate(robot.position)
+        if rep is None:
+            rep = robot.position
+        dest = self._look_dests.get(rep)
+        if dest is None:
+            dest = self._snap_destination(
+                self.algorithm.compute(config, rep), config
+            )
+            self._look_dests[rep] = dest
+        return dest
 
 
 class BatchedSimulation:
-    """Step many same-shaped simulations one vectorized round at a time.
+    """Step many same-shaped simulations one round at a time, in lockstep.
 
     Parameters mirror :class:`repro.sim.engine.Simulation` but are
     per-sim sequences: ``positions[s]`` are sim ``s``'s initial global
@@ -80,7 +95,7 @@ class BatchedSimulation:
     reused across sims.  ``None`` selects the scalar engine's benign
     defaults for every sim.
 
-    Requires NumPy (the arrays are the point); the ambient
+    Requires NumPy (the sims-axis kernels are the point); the ambient
     ``REPRO_BACKEND`` is left alone, so per-sim tower computations use
     whatever backend the process runs under.
     """
@@ -105,170 +120,56 @@ class BatchedSimulation:
                 "the batched engine requires NumPy; use the scalar engine "
                 "when it is not installed"
             )
-        np = kernels._np
         if not positions:
             raise ValueError("a batched simulation needs at least one sim")
         self.n_sims = len(positions)
         self.n_robots = len(positions[0])
-        if self.n_robots == 0:
-            raise ValueError("a simulation needs at least one robot")
-        for pts in positions:
-            if len(pts) != self.n_robots:
-                raise ValueError(
-                    "all sims in a batch must have the same robot count"
-                )
+        if any(len(pts) != self.n_robots for pts in positions):
+            raise ValueError(
+                "all sims in a batch must have the same robot count"
+            )
 
-        def _per_sim(name: str, given, default):
-            if given is None:
-                return [default() for _ in range(self.n_sims)]
-            items = list(given)
-            if len(items) != len(positions):
+        def per_sim(name: str, given) -> list:
+            items = [None] * self.n_sims if given is None else list(given)
+            if len(items) != self.n_sims:
                 raise ValueError(f"need one {name} per sim")
             return items
 
-        self._algorithms = _per_sim("algorithm", algorithms, None)
-        if any(a is None for a in self._algorithms):
-            raise ValueError("need one algorithm per sim")
-        self._schedulers = [
-            FairnessWrapper(s, bound=fairness_bound)
-            for s in _per_sim("scheduler", schedulers, FullySynchronous)
-        ]
-        self._crash_adversaries = _per_sim(
-            "crash adversary", crash_adversaries, NoCrashes
-        )
-        self._movements = _per_sim("movement model", movements, RigidMovement)
-        self._seeds = (
-            list(range(self.n_sims)) if seeds is None else list(seeds)
-        )
-        if len(self._seeds) != self.n_sims:
-            raise ValueError("need one seed per sim")
-
         self.tol = tol
-        self.snap_tolerance = snap_tolerance
-        self.max_rounds = max_rounds
-        self.halt_on_bivalent = halt_on_bivalent
-
-        # Decoupled per-component RNG substreams, one set per sim —
-        # identical derivation to the scalar engine, so the crash /
-        # scheduling / movement draws match seed for seed.  (The scalar
-        # engine's ``Random(seed)`` main stream only seeds private
-        # frames and sensor noise, neither of which exists here.)
-        self._crash_rng = [component_rng(s, "crash") for s in self._seeds]
-        self._sched_rng = [component_rng(s, "sched") for s in self._seeds]
-        self._move_rng = [component_rng(s, "move") for s in self._seeds]
-
-        # Authoritative per-sim state is exact Python geometry (Points
-        # compare bitwise; multiplicities must form exactly); the numpy
-        # mirror below serves the vectorized prefilters.
-        self._positions: List[List[Point]] = [list(pts) for pts in positions]
-        self._crash_round: List[List[Optional[int]]] = [
-            [None] * self.n_robots for _ in range(self.n_sims)
-        ]
-        self._distance: List[List[float]] = [
-            [0.0] * self.n_robots for _ in range(self.n_sims)
-        ]
-        self._round: List[int] = [0] * self.n_sims
-        self._last_moved: List[Set[int]] = [set() for _ in range(self.n_sims)]
-        self._last_active: List[Dict[int, int]] = [
-            {} for _ in range(self.n_sims)
-        ]
-        self._classes_seen: List[List[ConfigClass]] = [
-            [] for _ in range(self.n_sims)
-        ]
-        self._configs: List[Optional[Configuration]] = [None] * self.n_sims
-        self._results: List[Optional[SimulationResult]] = [None] * self.n_sims
-
-        # Structure-of-arrays mirror: float64 round-trips Point coords
-        # exactly, so the vectorized checks see the true geometry.
-        self._pos = np.array(
-            [[(p.x, p.y) for p in pts] for pts in positions],
-            dtype=np.float64,
-        )
-        self._live = np.ones((self.n_sims, self.n_robots), dtype=bool)
-
-    # -- per-sim state accessors ---------------------------------------------
-
-    def _configuration(self, s: int) -> Configuration:
-        config = self._configs[s]
-        if config is None:
-            config = Configuration(list(self._positions[s]), self.tol)
-            self._configs[s] = config
-        return config
-
-    def _live_ids(self, s: int) -> List[int]:
-        crashed = self._crash_round[s]
-        return [rid for rid in range(self.n_robots) if crashed[rid] is None]
-
-    def _positions_dict(self, s: int) -> Dict[int, Point]:
-        return dict(enumerate(self._positions[s]))
-
-    # -- verdict checks (scalar-engine semantics, per sim) -------------------
-
-    def _gathered_now(self, s: int) -> Optional[Point]:
-        spot = gathered_point(
-            self._positions_dict(s), self._live_ids(s), self.tol
-        )
-        if spot is None:
-            return None
-        view = self._configuration(s)
-        try:
-            dest = self._algorithms[s].compute(view, spot)
-        except GatheringError:
-            return None
-        return spot if dest.close_to(spot, self.tol) else None
-
-    def _stalled_now(self, s: int, config: Configuration) -> bool:
-        live_positions = dict.fromkeys(
-            self._positions[s][rid] for rid in self._live_ids(s)
-        )
-        algorithm = self._algorithms[s]
-        try:
-            for p in live_positions:
-                if not algorithm.compute(config, p).close_to(p, self.tol):
-                    return False
-        except GatheringError:
-            return False
-        return True
-
-    def _retire(self, s: int, verdict: str, spot=_UNSET) -> None:
-        if spot is _UNSET:
-            # The scalar engine recomputes the gathered spot after its
-            # loop regardless of verdict (e.g. a mid-step bivalent halt
-            # may leave the survivors co-located after a crash).
-            spot = self._gathered_now(s)
-        crashed = self._crash_round[s]
-        seen = self._classes_seen[s]
-        self._results[s] = SimulationResult(
-            verdict=verdict,
-            rounds=self._round[s],
-            final_positions=self._positions_dict(s),
-            live_ids=tuple(self._live_ids(s)),
-            crashed_ids=tuple(
-                rid
-                for rid in range(self.n_robots)
-                if crashed[rid] is not None
-            ),
-            gathering_point=spot,
-            total_distance=sum(self._distance[s]),
-            trace=None,
-            initial_class=(
-                seen[0] if seen else classify(self._configuration(s))
-            ),
-            classes_seen=tuple(seen),
-        )
-        if _obs.state.enabled:
-            _obs.record_run_end(
-                {
-                    "engine": "batched",
-                    "verdict": verdict,
-                    "rounds": self._round[s],
-                    "seed": self._seeds[s],
-                }
+        # Identity frames draw nothing from the engine's main stream; the
+        # crash / scheduling / movement substreams match the scalar
+        # engine's seed for seed.
+        sims = [
+            _GlobalFrameSimulation(
+                algorithm,
+                pts,
+                scheduler=scheduler,
+                crash_adversary=crash_adversary,
+                movement=movement,
+                tol=tol,
+                frames="identity",
+                seed=seed,
+                fairness_bound=fairness_bound,
+                snap_tolerance=snap_tolerance,
+                max_rounds=max_rounds,
+                halt_on_bivalent=halt_on_bivalent,
             )
+            for algorithm, pts, scheduler, crash_adversary, movement, seed in zip(
+                per_sim("algorithm", algorithms),
+                positions,
+                per_sim("scheduler", schedulers),
+                per_sim("crash adversary", crash_adversaries),
+                per_sim("movement model", movements),
+                list(range(self.n_sims)) if seeds is None
+                else per_sim("seed", seeds),
+            )
+        ]
+        self._ladders = [sim.ladder() for sim in sims]
+        self._results: List[Optional[SimulationResult]] = [None] * self.n_sims
 
     # -- batched tower pre-seeding -------------------------------------------
 
-    def _seed_weber(self, sims: List[int], configs: Dict[int, Configuration]):
+    def _seed_weber(self, configs: List[Configuration]) -> None:
         """Warm ``weber_numeric`` memos for sims about to classify QR.
 
         Replicates the numpy branch of
@@ -279,9 +180,8 @@ class BatchedSimulation:
         """
         if not kernels.enabled_for(self.n_robots):
             return
-        pending: List[Tuple[int, Configuration, list]] = []
-        for s in sims:
-            config = configs[s]
+        pending: List[Tuple[Configuration, list]] = []
+        for config in configs:
             if config.memo_get("class") is not None:
                 continue
             if (
@@ -300,28 +200,26 @@ class BatchedSimulation:
             if is_weber_point(best_input, pts, config.tol):
                 config.memo("weber_numeric", lambda p=best_input: p)
             else:
-                pending.append((s, config, coords))
+                pending.append((config, coords))
         if not pending:
             return
         starts = []
-        for _, config, _ in pending:
+        for config, _ in pending:
             guess = _initial_guess(config.points)
             starts.append((guess.x, guess.y))
         solved = kernels.batched_weiszfeld(
-            [coords for _, _, coords in pending],
+            [coords for _, coords in pending],
             starts,
             self.tol.eps_solver,
             10_000,
         )
-        for (s, config, _), (x, y, _its) in zip(pending, solved):
+        for (config, _), (x, y, _its) in zip(pending, solved):
             point = Point(x, y)
             certified = is_weber_point(point, config.points, config.tol)
             value = point if certified else None
             config.memo("weber_numeric", lambda v=value: v)
 
-    def _seed_asymmetric(
-        self, sims: List[int], configs: Dict[int, Configuration]
-    ) -> None:
+    def _seed_asymmetric(self, configs: List[Configuration]) -> None:
         """Warm ``ray_loads`` and ``views`` memos for asymmetric sims.
 
         Elections over safe points consume both; one batched kernel
@@ -330,16 +228,15 @@ class BatchedSimulation:
         :func:`view_table`) so seeded and unseeded sims take the same
         numeric path.
         """
-        loads_group: List[Tuple[int, Configuration]] = []
+        loads_group: List[Configuration] = []
         views_group: List[tuple] = []
         tol = self.tol
-        for s in sims:
-            config = configs[s]
+        for config in configs:
             support = config.support
             if config.memo_get("ray_loads") is None and kernels.enabled_for(
                 len(support)
             ):
-                loads_group.append((s, config))
+                loads_group.append(config)
             if config.memo_get("views") is None and kernels.enabled_for(config.n):
                 if len(support) > 1:
                     c = config.sec_center()
@@ -357,17 +254,17 @@ class BatchedSimulation:
             all_loads = kernels.batched_max_ray_loads(
                 [
                     [(p.x, p.y) for p in config.support]
-                    for _, config in loads_group
+                    for config in loads_group
                 ],
                 [
                     [config.mult(p) for p in config.support]
-                    for _, config in loads_group
+                    for config in loads_group
                 ],
                 tol.eps_dist,
                 tol.eps_angle,
                 MAX_ANGULAR_RESOLUTION,
             )
-            for (_, config), loads in zip(loads_group, all_loads):
+            for config, loads in zip(loads_group, all_loads):
                 config.memo("ray_loads", lambda v=loads: v)
         if views_group:
             all_views = kernels.batched_polar_views(
@@ -397,196 +294,57 @@ class BatchedSimulation:
                         table[cp] = _polar_view(config, cp, best)
                 config.memo("views", lambda t=table: t)
 
-    # -- the vectorized round ------------------------------------------------
+    # -- the lockstep round --------------------------------------------------
+
+    def _advance(self, sims: Sequence[int]) -> Dict[int, object]:
+        """Resume each sim's ladder to its next pause.
+
+        Returns what each still-running sim paused on; a ladder that
+        finishes instead leaves its result in ``self._results``.
+        """
+        paused: Dict[int, object] = {}
+        for s in sims:
+            try:
+                paused[s] = next(self._ladders[s])
+            except StopIteration as done:
+                self._results[s] = done.value
+        return paused
 
     def step_round(self) -> int:
-        """Advance every unretired sim by one ATOM round.
+        """Advance every unfinished sim by one ATOM round.
 
-        Returns the number of sims actually stepped (retirements this
-        round — gathered, bivalent, stalled, out of rounds — happen
-        before their step, exactly like the scalar run loop).
+        Returns the number of sims actually stepped (sims that reach a
+        verdict this round — out of rounds, gathered, bivalent, stalled —
+        do so before their step, exactly like the scalar run loop).
         """
-        alive = [s for s in range(self.n_sims) if self._results[s] is None]
-        if not alive:
+        running = [s for s, r in enumerate(self._results) if r is None]
+        if not running:
             return 0
-        obs_on = _obs.state.enabled
-        started = time.perf_counter() if obs_on else 0.0
-        tracer = _obs.tracer if obs_on and _obs.tracer.active else None
+        tracer = (
+            _obs.tracer
+            if _obs.state.enabled and _obs.tracer.active
+            else None
+        )
         round_span = (
-            tracer.begin("batch_round", "round", attrs={"sims": len(alive)})
+            tracer.begin("batch_round", "round", attrs={"sims": len(running)})
             if tracer is not None
             else None
         )
-
-        # 1. Out of rounds.  The scalar loop condition exits before the
-        # gathered check, so these sims keep the MAX_ROUNDS verdict even
-        # when their final configuration happens to be gathered.
-        for s in alive:
-            if self._round[s] >= self.max_rounds:
-                self._retire(s, Verdict.MAX_ROUNDS)
-        alive = [s for s in alive if self._results[s] is None]
-
-        # 2. Gathered: one vectorized conservative prefilter, then the
-        # exact scalar predicate on the few candidate sims.
-        if alive:
-            candidates = kernels.batched_gather_candidates(
-                self._pos[alive], self._live[alive], self.tol.eps_dist
-            )
-            for s, maybe in zip(alive, candidates):
-                if not maybe:
-                    continue
-                spot = self._gathered_now(s)
-                if spot is not None:
-                    self._retire(s, Verdict.GATHERED, spot)
-            alive = [s for s in alive if self._results[s] is None]
-        if not alive:
-            if obs_on:
-                self._record_round_obs(tracer, round_span, started, 0)
-            return 0
-
-        # 3. Classify, with the Weber solve pre-seeded across sims.
-        configs = {s: self._configuration(s) for s in alive}
-        self._seed_weber(alive, configs)
-        asymmetric: List[int] = []
-        for s in alive:
-            cls = classify(configs[s])
-            seen = self._classes_seen[s]
-            if not seen or seen[-1] is not cls:
-                seen.append(cls)
-            if cls is ConfigClass.BIVALENT and self.halt_on_bivalent:
-                self._retire(s, Verdict.IMPOSSIBLE)
-            elif cls is ConfigClass.ASYMMETRIC:
-                asymmetric.append(s)
-        alive = [s for s in alive if self._results[s] is None]
-
-        # 4. Asymmetric sims elect over safe points in both the stall
-        # check and the step; warm their towers in two batched calls.
-        self._seed_asymmetric(asymmetric, configs)
-
-        # 5. Stalled (oblivious algorithm + all-stay = dead forever).
-        for s in alive:
-            if self._stalled_now(s, configs[s]):
-                self._retire(s, Verdict.STALLED)
-        alive = [s for s in alive if self._results[s] is None]
-
-        # 6. One ATOM round per remaining sim.
-        stepped = 0
-        for s in alive:
-            try:
-                self._step_sim(s, configs[s])
-            except BivalentConfigurationError:
-                # Crashes of this round are already applied; the round
-                # index is not advanced — mirroring the scalar engine.
-                self._retire(s, Verdict.IMPOSSIBLE)
-                continue
-            self._round[s] += 1
-            stepped += 1
-        if obs_on:
-            self._record_round_obs(tracer, round_span, started, stepped)
-        return stepped
-
-    def _record_round_obs(self, tracer, round_span, started, stepped) -> None:
+        configs = self._advance(running)
+        self._seed_weber(list(configs.values()))
+        classes = self._advance(list(configs))
+        self._seed_asymmetric(
+            [
+                configs[s]
+                for s, cls in classes.items()
+                if cls is ConfigClass.ASYMMETRIC
+            ]
+        )
+        stepped = len(self._advance(list(classes)))
         if round_span is not None:
             round_span.attrs["stepped"] = stepped
             tracer.end(round_span)
-        _obs.metrics.observe(
-            "batch.round_seconds", time.perf_counter() - started
-        )
-        _obs.metrics.inc("batch.sim_rounds", stepped)
-
-    def _step_sim(self, s: int, config: Configuration) -> None:
-        rnd = self._round[s]
-        positions = self._positions_dict(s)
-        crash_state = self._crash_round[s]
-
-        # 1. Crashes.
-        crash_now = self._crash_adversaries[s].crashes(
-            rnd,
-            self._live_ids(s),
-            positions,
-            set(self._last_moved[s]),
-            self._crash_rng[s],
-        )
-        for rid in crash_now:
-            if crash_state[rid] is None:
-                crash_state[rid] = rnd
-                self._live[s, rid] = False
-
-        # 2. Scheduling (fair).
-        active = self._schedulers[s].select(
-            rnd,
-            self._live_ids(s),
-            self._sched_rng[s],
-            self._last_active[s],
-            positions=positions,
-        )
-
-        # 3. LOOK+COMPUTE against one snapshot.  The algorithm is
-        # anonymous: co-located robots receive the same instruction, so
-        # each occupied position is computed once, in the global frame
-        # (frame equivariance — see the module docstring).
-        destinations: Dict[int, Point] = {}
-        dest_of_rep: Dict[Point, Point] = {}
-        algorithm = self._algorithms[s]
-        for rid in range(self.n_robots):
-            if rid not in active:
-                continue
-            me = positions[rid]
-            rep = config.locate(me)
-            if rep is None:
-                rep = me
-            dest = dest_of_rep.get(rep)
-            if dest is None:
-                dest = algorithm.compute(config, rep)
-                dest = snap_destination(dest, config, self.snap_tolerance)
-                dest_of_rep[rep] = dest
-            destinations[rid] = dest
-
-        # 4. Simultaneous moves.
-        movement = self._movements[s]
-        if hasattr(movement, "begin_round"):
-            movement.begin_round(
-                {
-                    rid: (positions[rid], dest)
-                    for rid, dest in destinations.items()
-                }
-            )
-        rigid_fast = type(movement) is RigidMovement
-        use_endpoint_for = hasattr(movement, "endpoint_for")
-        sim_positions = self._positions[s]
-        sim_distance = self._distance[s]
-        last_active = self._last_active[s]
-        moved: List[int] = []
-        for rid in range(self.n_robots):
-            dest = destinations.get(rid)
-            if dest is None:
-                continue
-            origin = positions[rid]
-            if use_endpoint_for:
-                end = movement.endpoint_for(rid, origin, dest)
-            elif rigid_fast:
-                # RigidMovement returns the destination and draws no
-                # randomness — skip the call, bitwise identical.
-                end = dest
-            else:
-                end = movement.endpoint(origin, dest, self._move_rng[s])
-            if end.distance_to(dest) <= self.tol.eps_dist:
-                end = dest
-            if end != origin:
-                sim_distance[rid] += origin.distance_to(end)
-                sim_positions[rid] = end
-                moved.append(rid)
-            last_active[rid] = rnd
-        self._last_moved[s] = set(moved)
-        if moved:
-            self._configs[s] = None
-            row = self._pos[s]
-            for rid in moved:
-                p = sim_positions[rid]
-                row[rid, 0] = p.x
-                row[rid, 1] = p.y
-
-    # -- run loop --------------------------------------------------------------
+        return stepped
 
     def run_all(self) -> List[SimulationResult]:
         """Run every sim to a verdict; results in input-sim order."""

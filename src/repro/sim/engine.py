@@ -23,6 +23,11 @@ Each round (Section II):
    seeing the step's whole move set first (``begin_round`` /
    ``endpoint_for`` identity hooks).
 
+Before each round, :meth:`Simulation.ladder` checks the verdicts
+(gathered, bivalent, stalled, out of rounds).  :meth:`Simulation.run`
+drives one ladder; :class:`~repro.sim.BatchedSimulation` drives many in
+lockstep.
+
 Exactness plumbing
 ------------------
 The algorithm runs in each robot's local frame, so destinations suffer a
@@ -41,7 +46,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..algorithms.base import GatheringAlgorithm
 from ..core import (
@@ -51,7 +56,13 @@ from ..core import (
     GatheringError,
     classify,
 )
-from ..geometry import DEFAULT_TOLERANCE, Frame, Point, Tolerance, random_frame
+from ..geometry import (
+    DEFAULT_TOLERANCE,
+    IDENTITY_FRAME,
+    Point,
+    Tolerance,
+    random_frame,
+)
 from .. import obs as _obs
 from ..obs.events import RoundEvent
 from .faults import CrashAdversary, NoCrashes
@@ -67,27 +78,7 @@ __all__ = [
     "SimulationResult",
     "Verdict",
     "component_rng",
-    "snap_destination",
 ]
-
-
-def snap_destination(
-    dest: Point, config: Configuration, snap_tolerance: float
-) -> Point:
-    """Snap ``dest`` onto an occupied position it is trying to name.
-
-    Shared by the scalar and batched engines so both apply the identical
-    exactness rule (see the module docstring): among support points
-    within ``snap_tolerance`` the last one achieving the running minimum
-    distance wins, matching the scalar engine's historical scan order.
-    """
-    best = None
-    best_d = snap_tolerance
-    for p in config.support:
-        d = dest.distance_to(p)
-        if d <= best_d:
-            best, best_d = p, d
-    return best if best is not None else dest
 
 
 #: Per-robot local-configuration cache bound.  On idle rounds (no robot
@@ -175,8 +166,9 @@ class Simulation:
         onto scheduler activations; defaults to
         :class:`~repro.sim.lcm.AtomicActivation` (the paper's ATOM
         rounds).  :class:`~repro.sim.lcm.PhasedActivation` gives the
-        ASYNC/CORDA tick semantics (or use the
-        :class:`~repro.sim.AsyncSimulation` convenience wrapper).
+        ASYNC/CORDA tick semantics; ``max_rounds`` then bounds ticks,
+        and since every cycle takes two activations ASYNC runs usually
+        double ``fairness_bound`` too.
     frames:
         ``"identity"`` runs all robots in the global frame (useful for
         debugging); ``"random"`` gives each robot a private random
@@ -231,7 +223,6 @@ class Simulation:
         self._crash_rng = component_rng(seed, "crash")
         self._sched_rng = component_rng(seed, "sched")
         self._move_rng = component_rng(seed, "move")
-        self._byz_rng = component_rng(seed, "byz")
         self.tol = tol
         self.snap_tolerance = snap_tolerance
         self.max_rounds = max_rounds
@@ -257,6 +248,7 @@ class Simulation:
         for rid in self.byzantine:
             if not 0 <= rid < len(positions):
                 raise ValueError(f"byzantine id {rid} out of range")
+        self._byz_rng = component_rng(seed, "byz") if self.byzantine else None
         # Assumption-ablation knobs (experiments E14/E15): a finite
         # visibility radius truncates every snapshot to nearby robots
         # (the paper requires unlimited visibility); `mirrored` lists
@@ -314,7 +306,7 @@ class Simulation:
             frame = (
                 random_frame(self.rng)
                 if frames == "random"
-                else Frame(Point(0.0, 0.0), 0.0, 1.0)
+                else IDENTITY_FRAME
             )
             if rid in self.mirrored:
                 frame = frame.mirrored()
@@ -354,22 +346,15 @@ class Simulation:
     def positions(self) -> Dict[int, Point]:
         return {r.robot_id: r.position for r in self.robots}
 
-    def _robot_by_id(self, robot_id: int) -> Robot:
-        return self.robots[robot_id]
-
     def live_ids(self) -> List[int]:
-        return [r.robot_id for r in self.robots if r.live]
+        return [r.robot_id for r in self.robots if not r.crashed]
 
     def correct_ids(self) -> List[int]:
         """Live robots that follow the algorithm (the paper's *correct*).
 
         With no byzantine robots this equals :meth:`live_ids`.
         """
-        return [
-            r.robot_id
-            for r in self.robots
-            if r.live and r.robot_id not in self.byzantine
-        ]
+        return [rid for rid in self.live_ids() if rid not in self.byzantine]
 
     def crashed_ids(self) -> List[int]:
         return [r.robot_id for r in self.robots if r.crashed]
@@ -407,8 +392,18 @@ class Simulation:
         return Point(p.x + r * math.cos(angle), p.y + r * math.sin(angle))
 
     def _snap_destination(self, dest: Point, config: Configuration) -> Point:
-        """Snap ``dest`` onto an occupied position it is trying to name."""
-        return snap_destination(dest, config, self.snap_tolerance)
+        """Snap ``dest`` onto an occupied position it is trying to name.
+
+        Among support points within ``snap_tolerance`` the last one
+        achieving the running minimum distance wins.
+        """
+        best = None
+        best_d = self.snap_tolerance
+        for p in config.support:
+            d = dest.distance_to(p)
+            if d <= best_d:
+                best, best_d = p, d
+        return best if best is not None else dest
 
     def _local_configuration(self, robot: Robot) -> Configuration:
         """The robot's private-frame snapshot, cached across idle rounds."""
@@ -472,10 +467,16 @@ class Simulation:
             local_dest = self.algorithm.compute(local_config, local_me)
         return self._snap_destination(frame.to_global(local_dest), config)
 
-    def _begin_move_phase(self, moves: Dict[int, Tuple[Point, Point]]) -> None:
+    def _begin_move_phase(self, destinations: Dict[int, Point]) -> None:
         """Collusive adversaries see the step's whole move set first."""
-        if hasattr(self.movement, "begin_round"):
-            self.movement.begin_round(moves)
+        begin_round = getattr(self.movement, "begin_round", None)
+        if begin_round is not None:
+            begin_round(
+                {
+                    rid: (self.robots[rid].position, dest)
+                    for rid, dest in destinations.items()
+                }
+            )
 
     def _resolve_move(self, robot: Robot, dest: Point) -> bool:
         """Execute one move; returns whether the robot actually moved.
@@ -525,12 +526,7 @@ class Simulation:
             tracer.end(phase_span)
             phase_span = tracer.begin("move", "phase")
 
-        self._begin_move_phase(
-            {
-                rid: (self._robot_by_id(rid).position, dest)
-                for rid, dest in destinations.items()
-            }
-        )
+        self._begin_move_phase(destinations)
         moved: List[int] = []
         for robot in self.robots:
             dest = destinations.get(robot.robot_id)
@@ -568,7 +564,7 @@ class Simulation:
         pending = self.activation.pending
         self._begin_move_phase(
             {
-                rid: (self._robot_by_id(rid).position, pending[rid].destination)
+                rid: pending[rid].destination
                 for rid in sorted(active)
                 if rid in pending
             }
@@ -655,10 +651,11 @@ class Simulation:
             if tracer is not None and not phased
             else None
         )
+        positions = self.positions()
         crash_now = self.crash_adversary.crashes(
             self.round_index,
             self.live_ids(),
-            self.positions(),
+            positions,
             set(self._last_moved),
             self._crash_rng,
         )
@@ -673,7 +670,7 @@ class Simulation:
             self.live_ids(),
             self._sched_rng,
             self._last_active,
-            positions=self.positions(),
+            positions=positions,
         )
         if phase_span is not None:
             tracer.end(phase_span)
@@ -764,9 +761,7 @@ class Simulation:
         # stay.
         if self.activation.pending:
             return False
-        live_positions = {
-            r.position for r in self.robots if r.live
-        }
+        live_positions = {r.position for r in self.robots if not r.crashed}
         try:
             for p in live_positions:
                 view = (
@@ -784,17 +779,18 @@ class Simulation:
             return False
         return True
 
-    def run(self) -> SimulationResult:
-        """Run until gathered / impossible / stalled / out of rounds."""
-        run_span = (
-            _obs.tracer.begin(
-                "run",
-                "run",
-                attrs={"engine": self.activation.name, "seed": self.seed},
-            )
-            if _obs.state.enabled and _obs.tracer.active
-            else None
-        )
+    def ladder(self) -> Iterator[object]:
+        """The round ladder as a generator; its return value is the result.
+
+        Every round climbs the same rungs: out of rounds, gathered,
+        classify (recording the class), bivalent, stalled, step.  The
+        generator pauses twice inside a round — yielding the round's
+        configuration before it is classified, then its class before
+        the stall check — and once after the step, so a driver can run
+        many sims in lockstep and warm their memos at those points
+        (:class:`~repro.sim.BatchedSimulation`).  :meth:`run` drives it
+        straight to the verdict.
+        """
         classes_seen: List[ConfigClass] = []
         verdict = Verdict.MAX_ROUNDS
         while self.round_index < self.max_rounds:
@@ -803,12 +799,14 @@ class Simulation:
                 verdict = Verdict.GATHERED
                 break
             config = self.configuration()
+            yield config
             cls = classify(config)
             if not classes_seen or classes_seen[-1] is not cls:
                 classes_seen.append(cls)
             if cls is ConfigClass.BIVALENT and self.halt_on_bivalent:
                 verdict = Verdict.IMPOSSIBLE
                 break
+            yield cls
             if self._stalled_now(config):
                 verdict = Verdict.STALLED
                 break
@@ -817,13 +815,13 @@ class Simulation:
             except BivalentConfigurationError:
                 verdict = Verdict.IMPOSSIBLE
                 break
+            yield None
 
-        spot = self._gathered_now()
+        if verdict != Verdict.GATHERED:
+            # A run that stops for another reason may still end with the
+            # survivors together (e.g. a crash before a bivalent halt).
+            spot = self._gathered_now()
         if _obs.state.enabled:
-            if run_span is not None:
-                run_span.attrs["verdict"] = verdict
-                run_span.attrs["rounds"] = self.round_index
-                _obs.tracer.end(run_span)
             run_end = {
                 "engine": self.activation.name,
                 "verdict": verdict,
@@ -845,3 +843,26 @@ class Simulation:
             initial_class=classes_seen[0] if classes_seen else classify(self.configuration()),
             classes_seen=tuple(classes_seen),
         )
+
+    def run(self) -> SimulationResult:
+        """Run until gathered / impossible / stalled / out of rounds."""
+        run_span = (
+            _obs.tracer.begin(
+                "run",
+                "run",
+                attrs={"engine": self.activation.name, "seed": self.seed},
+            )
+            if _obs.state.enabled and _obs.tracer.active
+            else None
+        )
+        ladder = self.ladder()
+        try:
+            while True:
+                next(ladder)
+        except StopIteration as done:
+            result = done.value
+        if run_span is not None:
+            run_span.attrs["verdict"] = result.verdict
+            run_span.attrs["rounds"] = result.rounds
+            _obs.tracer.end(run_span)
+        return result

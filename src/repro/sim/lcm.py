@@ -24,9 +24,9 @@ The engine (:class:`repro.sim.Simulation`) owns everything the two
 models share — crashes, fair scheduling, snapshots with visibility /
 noise / byzantine ablations, movement-model identity hooks, destination
 snapping, trace records — and asks its activation model which phase an
-activation runs and where half-finished cycles live.  The legacy
-``Simulation`` / ``AsyncSimulation`` split is reproduced as the two
-models here; the committed corpus pins both configurations bit-for-bit.
+activation runs and where half-finished cycles live.  An ASYNC run is
+``Simulation(..., activation=PhasedActivation())``; the committed corpus
+pins both models bit-for-bit.
 """
 
 from __future__ import annotations

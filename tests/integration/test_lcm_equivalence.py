@@ -1,17 +1,14 @@
 """Equivalence and property matrix for the unified LCM engine.
 
-Two legacy engines (``Simulation`` for ATOM/SSYNC, ``AsyncSimulation``
-for phased ASYNC) are now one loop parameterised by an activation
-model.  This suite pins the contract of that unification:
+ATOM/SSYNC and phased ASYNC runs are one loop parameterised by an
+activation model.  This suite pins the contract of that unification:
 
-1. ``AsyncSimulation`` is a thin wrapper — seed for seed it must be
-   *bit-identical* to ``Simulation(activation=PhasedActivation())``.
-2. The scheduler x movement x crash matrix runs on both activation
+1. The scheduler x movement x crash matrix runs on both activation
    models, including the cells that were broken or unreachable before
    the unification: async + collusive-stop (the identity hooks were
    dropped), the Poisson scheduler, per-robot speeds and limited
    visibility.
-3. Every cell is deterministic (same seed, same outcome) and reaches a
+2. Every cell is deterministic (same seed, same outcome) and reaches a
    sensible verdict — crash-tolerant gathering where the paper's
    assumptions hold.
 """
@@ -55,40 +52,6 @@ def assert_identical(a, b):
     assert a.final_positions == b.final_positions
     assert a.gathering_point == b.gathering_point
     assert a.total_distance == b.total_distance
-
-
-class TestWrapperEquivalence:
-    """AsyncSimulation == Simulation + PhasedActivation, bitwise."""
-
-    @pytest.mark.parametrize("movement", MOVEMENTS)
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_async_engine_is_phased_activation(self, movement, seed):
-        from repro.algorithms import WaitFreeGather
-        from repro.experiments.runner import make_crashes, make_movement, make_scheduler
-        from repro.sim import AsyncSimulation, PhasedActivation, Simulation
-        from repro.workloads import generate
-
-        positions = generate("asymmetric", 6, seed)
-
-        def build(cls, **extra):
-            return cls(
-                WaitFreeGather(),
-                list(positions),
-                scheduler=make_scheduler("random"),
-                crash_adversary=make_crashes("random", 2),
-                movement=make_movement(movement),
-                seed=seed,
-                **extra,
-            )
-
-        wrapped = build(AsyncSimulation, max_ticks=50_000).run()
-        direct = build(
-            Simulation,
-            activation=PhasedActivation(),
-            fairness_bound=64,
-            max_rounds=50_000,
-        ).run()
-        assert_identical(wrapped, direct)
 
 
 class TestSchedulerMovementCrashMatrix:

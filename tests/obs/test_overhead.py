@@ -126,9 +126,8 @@ class TestNoAllocationWhenDisabled:
 class TestBatchedEngineOverhead:
     """The batched round loop honors the same zero-overhead contract.
 
-    It additionally never builds per-round :class:`RoundEvent` objects
-    even when enabled — per-sim event streams would defeat the point of
-    batching; round-level visibility comes from metrics and spans.
+    Its sims run the scalar engine's round, so when enabled they emit
+    the same per-round :class:`RoundEvent` records as the scalar engine.
     """
 
     def _numpy_or_skip(self):
@@ -153,15 +152,18 @@ class TestBatchedEngineOverhead:
         assert result.rounds > 0
         assert calls["n"] == 0
 
-    def test_enabled_builds_spans_but_no_events(self, monkeypatch):
+    def test_enabled_builds_spans_and_one_event_per_round(self, monkeypatch):
         self._numpy_or_skip()
         events = _count_event_builds(monkeypatch)
         spans = _count_span_builds(monkeypatch)
         obs.enable()
         result = run_scenario(BATCHED_SMALL, 3)
         assert result.rounds > 0
-        assert events["n"] == 0
-        assert spans["n"] >= 2  # one batch_run + one per executed round
+        assert events["n"] == result.rounds
+        # One batch_run span, one batch_round per lockstep round (the
+        # last one only retires the sim), and the scalar round span with
+        # its three phase spans per sim-round.
+        assert spans["n"] == 1 + (result.rounds + 1) + 4 * result.rounds
 
     def test_spans_vetoed_but_obs_on_builds_no_spans(self, monkeypatch):
         self._numpy_or_skip()

@@ -129,48 +129,6 @@ def test_batched_weiszfeld_matches_2d():
         assert got == expected  # iterate AND iteration count
 
 
-def test_batched_gather_candidates_never_false_negative():
-    rng = random.Random(3)
-    positions = []
-    live = []
-    gathered_truth = []
-    for s in range(40):
-        n = rng.randrange(3, 9)
-        if s % 2:
-            # Gathered cluster, some crashed robots scattered far away.
-            cx, cy = rng.uniform(-10, 10), rng.uniform(-10, 10)
-            row = [
-                (cx + rng.uniform(-1e-10, 1e-10),
-                 cy + rng.uniform(-1e-10, 1e-10))
-                for _ in range(n)
-            ]
-            lv = [True] * n
-            for dead in range(rng.randrange(0, 2)):
-                row[dead] = (cx + 30 + dead, cy)
-                lv[dead] = False
-            truth = any(lv)
-        else:
-            row = [
-                (rng.uniform(-10, 10), rng.uniform(-10, 10))
-                for _ in range(n)
-            ]
-            lv = [True] * n
-            truth = False
-        row += [(0.0, 0.0)] * (9 - n)
-        lv += [False] * (9 - n)
-        positions.append(row)
-        live.append(lv)
-        gathered_truth.append(truth)
-    flags = kernels.batched_gather_candidates(
-        positions, live, TOL.eps_dist
-    )
-    for flag, truth in zip(flags, gathered_truth):
-        if truth:
-            assert flag  # the prefilter may not drop a gathered sim
-        # non-gathered sims may be (conservative) candidates; the engine
-        # re-checks with the exact scalar predicate.
-
-
 @pytest.mark.parametrize(
     "workload,n,seed",
     [

@@ -64,6 +64,17 @@ class TestSweepCommand:
         assert sweep("--seeds", "2", "--resume") == 2
         assert "--resume requires --journal" in capsys.readouterr().err
 
+    def test_bad_batch_size_refused(self, tmp_path, capsys):
+        journal = tmp_path / "sweep.jsonl"
+        code = sweep(
+            "--seeds", "2", "--engine", "batched", "--batch-size", "-2",
+            "--journal", str(journal),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "positive" in err
+        assert not journal.exists()
+
     def test_resume_extends_a_partial_sweep(self, tmp_path, capsys):
         journal = str(tmp_path / "sweep.jsonl")
         assert sweep("--seeds", "3", "--journal", journal) == 0

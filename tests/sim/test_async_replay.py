@@ -11,8 +11,7 @@ import pytest
 
 from repro.experiments.runner import Scenario, build_simulation, run_scenario
 from repro.geometry import kernels
-from repro.sim import Trace
-from repro.sim.async_engine import AsyncSimulation
+from repro.sim import PhasedActivation, Trace
 from repro.sim.replay import (
     compare_traces,
     differential_check,
@@ -45,8 +44,9 @@ def recorded_trace(scenario=ASYNC_SMALL, seed=3) -> Trace:
 class TestEngineDispatch:
     def test_async_scenario_builds_async_engine(self):
         sim = build_simulation(ASYNC_SMALL, 3)
-        assert isinstance(sim, AsyncSimulation)
-        assert sim.max_ticks == ASYNC_SMALL.max_rounds
+        assert isinstance(sim.activation, PhasedActivation)
+        assert sim.max_rounds == ASYNC_SMALL.max_rounds
+        assert sim.scheduler.bound == 64
 
     def test_unknown_engine_rejected(self):
         bad = Scenario(workload="random", n=4, engine="warp")

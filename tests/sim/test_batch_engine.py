@@ -1,4 +1,4 @@
-"""Unit tests for the batched structure-of-arrays engine.
+"""Unit tests for the batched (lockstep) engine.
 
 The heavy seed-for-seed scalar comparison lives in
 ``tests/integration/test_batched_equivalence.py``; this module covers
@@ -9,15 +9,17 @@ invariance at the runner level, and the trace restriction.
 import pytest
 
 from repro.algorithms import WaitFreeGather
+from repro.core import Configuration
 from repro.experiments.runner import (
     DEFAULT_BATCH_SIZE,
     Scenario,
     build_simulation,
+    run_batch,
     run_batched,
     run_scenario,
 )
 from repro.geometry import kernels
-from repro.sim import BatchedSimulation, Verdict
+from repro.sim import BatchedSimulation, RoundRobin, Verdict
 from repro.workloads import generate
 
 needs_numpy = pytest.mark.skipif(
@@ -88,6 +90,29 @@ class TestRuns:
             }
             assert result.trace is None
 
+    def test_one_configuration_per_sim_per_round(self, monkeypatch):
+        """The batched LOOK is one global-frame tower per sim: a lockstep
+        round builds at most one configuration per stepped sim, where a
+        private-frame LOOK would build one per robot."""
+        k = 4
+        sims = BatchedSimulation(
+            _algorithms(k),
+            _positions(k, n=8),
+            schedulers=[RoundRobin() for _ in range(k)],
+            seeds=list(range(k)),
+        )
+        assert sims.step_round() == k
+        builds = {"n": 0}
+        original = Configuration.__init__
+
+        def counting(self, *args, **kwargs):
+            builds["n"] += 1
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Configuration, "__init__", counting)
+        assert sims.step_round() == k
+        assert 0 < builds["n"] <= k
+
     def test_max_rounds_retires(self):
         sims = BatchedSimulation(
             _algorithms(2), _positions(2), seeds=[1, 2], max_rounds=1
@@ -135,8 +160,11 @@ class TestRunnerWiring:
             build_simulation(self.SCENARIO, 0)
 
     def test_bad_batch_size_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            run_batched(self.SCENARIO, [0, 1], batch_size=-2)
+        for size in (-2, 0):
+            with pytest.raises(ValueError, match="positive"):
+                run_batched(self.SCENARIO, [0, 1], batch_size=size)
+            with pytest.raises(ValueError, match="positive"):
+                run_batch(self.SCENARIO, [0, 1], batch_size=size)
 
     def test_label_prefixes_engine(self):
         assert self.SCENARIO.label().startswith("batched/")

@@ -14,7 +14,6 @@ import pytest
 from repro.algorithms import WaitFreeGather
 from repro.geometry import DEFAULT_TOLERANCE, Point
 from repro.sim import (
-    AsyncSimulation,
     AtomicActivation,
     CollusiveStop,
     FullySynchronous,
@@ -27,6 +26,18 @@ from repro.sim import (
 )
 
 ASYM = [Point(0, 0), Point(5, 0.3), Point(2.1, 4.4), Point(1.2, 1.9), Point(4.0, 3.1)]
+
+
+def async_sim(algorithm, positions, **kwargs):
+    """An ASYNC run: phased activation, with the fairness bound doubled
+    because every cycle takes two activations."""
+    return Simulation(
+        algorithm,
+        positions,
+        activation=PhasedActivation(),
+        fairness_bound=64,
+        **kwargs,
+    )
 
 
 class LeftOfLeftmost:
@@ -75,29 +86,14 @@ class TestActivationModels:
     def test_simulation_defaults_to_atom(self):
         sim = Simulation(WaitFreeGather(), ASYM, seed=1)
         assert sim.activation.name == "atom"
-        assert AsyncSimulation(WaitFreeGather(), ASYM, seed=1).activation.name == "async"
-
-    def test_explicit_phased_activation_equals_async_wrapper(self):
-        """AsyncSimulation is pure sugar over activation=PhasedActivation."""
-        direct = Simulation(
-            WaitFreeGather(),
-            ASYM,
-            activation=PhasedActivation(),
-            fairness_bound=64,
-            max_rounds=100_000,
-            seed=7,
-        ).run()
-        wrapped = AsyncSimulation(WaitFreeGather(), ASYM, seed=7).run()
-        assert direct.verdict == wrapped.verdict
-        assert direct.rounds == wrapped.rounds
-        assert direct.final_positions == wrapped.final_positions
+        assert async_sim(WaitFreeGather(), ASYM, seed=1).activation.name == "async"
 
 
 class TestAsyncCollusionRegression:
     def test_collusive_stop_stacks_async_robots(self):
         """The satellite bug: CollusiveStop must collude under ASYNC."""
         movement = CollusiveStop(0.2)
-        sim = AsyncSimulation(
+        sim = async_sim(
             LeftOfLeftmost(),
             [Point(1.0, 0.0), Point(2.0, 0.0), Point(3.0, 0.0)],
             scheduler=FullySynchronous(),
@@ -106,7 +102,7 @@ class TestAsyncCollusionRegression:
             seed=0,
         )
         sim.step()  # all robots LOOK: common destination (0, 0)
-        assert {p.destination for p in sim.pending.values()} == {Point(0.0, 0.0)}
+        assert {p.destination for p in sim.activation.pending.values()} == {Point(0.0, 0.0)}
         sim.step()  # all robots MOVE: the adversary stacks them
         stop = Point(0.8, 0.0)  # most-advanced mover's delta-stop
         assert set(sim.positions().values()) == {stop}
@@ -126,14 +122,14 @@ class TestAsyncCollusionRegression:
     def test_async_collusion_differs_from_rigid(self):
         """Before the fix both runs were identical (collusion dropped)."""
         def final(movement):
-            sim = AsyncSimulation(
+            sim = async_sim(
                 LeftOfLeftmost(),
                 [Point(1.0, 0.0), Point(2.0, 0.0), Point(3.0, 0.0)],
                 scheduler=FullySynchronous(),
                 movement=movement,
                 frames="identity",
                 seed=0,
-                max_ticks=2,
+                max_rounds=2,
             )
             sim.run()
             return set(sim.positions().values())
@@ -173,7 +169,7 @@ class TestPerRobotSpeed:
             WaitFreeGather(), ASYM, movement=movement, seed=3, max_rounds=100_000
         ).run()
         assert atom.gathered
-        phased = AsyncSimulation(
+        phased = async_sim(
             WaitFreeGather(), ASYM, movement=PerRobotSpeed((1.0, 0.25, 0.05)), seed=3
         ).run()
         assert phased.gathered
@@ -209,7 +205,7 @@ class TestPoissonScheduler:
             max_rounds=100_000,
         ).run()
         assert atom.gathered
-        phased = AsyncSimulation(
+        phased = async_sim(
             WaitFreeGather(), ASYM, scheduler=PoissonScheduler(0.5), seed=5
         ).run()
         assert phased.gathered
@@ -219,23 +215,23 @@ class TestUnifiedPredicates:
     def test_phased_gathered_uses_effective_view(self):
         """The termination predicate is shared: the async side now judges
         stability through correct_ids + the engine view, like ATOM."""
-        sim = AsyncSimulation(WaitFreeGather(), ASYM, seed=1)
+        sim = async_sim(WaitFreeGather(), ASYM, seed=1)
         result = sim.run()
         assert result.gathered
         assert result.gathering_point is not None
 
     def test_phased_stall_guarded_by_pending(self):
         """A half-finished cycle is never reported as a stalled fixpoint."""
-        sim = AsyncSimulation(WaitFreeGather(), ASYM, seed=1)
+        sim = async_sim(WaitFreeGather(), ASYM, seed=1)
         sim.step()  # everyone holds a pending move now
-        assert sim.pending
+        assert sim.activation.pending
         assert not sim._stalled_now(sim.configuration())
 
     def test_limited_visibility_threads_through_phased_look(self):
         """A radius that disconnects the team keeps it apart under ASYNC."""
         far = [Point(0.0, 0.0), Point(0.5, 0.0), Point(100.0, 0.0), Point(100.5, 0.0)]
-        sim = AsyncSimulation(
-            WaitFreeGather(), far, seed=2, visibility=5.0, max_ticks=2_000
+        sim = async_sim(
+            WaitFreeGather(), far, seed=2, visibility=5.0, max_rounds=2_000
         )
         result = sim.run()
         assert not result.gathered
