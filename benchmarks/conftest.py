@@ -3,8 +3,7 @@
 Each ``test_eX_*.py`` module regenerates one experiment of DESIGN.md's
 index (E1-E9), asserts the *shape* the paper predicts (who wins, what is
 impossible, what never happens), and reports its wall time through
-pytest-benchmark.  ``test_micro.py`` additionally tracks the hot paths
-of the implementation (classification tower, one ATOM round, full runs).
+pytest-benchmark.
 
 Run with::
 

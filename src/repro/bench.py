@@ -1,17 +1,16 @@
-"""Benchmark harness — ``repro-gather bench``.
+"""Benchmark record — ``repro-gather bench``.
 
-Measures the hot geometry primitives (micro benchmarks) and end-to-end
-round throughput of the simulator for every available kernel backend,
-and writes the results as one JSON document (``BENCH_micro.json`` at the
-repo root by default).  The JSON is the repo's performance record: the
-recorded ``speedups`` section is how the "numpy backend is >= 3x faster
-at n = 256" claim in README.md is regenerated.
+Measures the scaling numbers that README.md and EXPERIMENTS.md publish
+and appends them, with the host they ran on, to ``BENCH_micro.json`` at
+the repo root by default.  The file is a record, not a gate: timing
+regressions are caught by ``perfbench/``, whose workloads also check
+every result against committed digests.
 
 Schema (``repro-bench/1``)
 --------------------------
-``micro``
-    One entry per (name, backend, n): ``best_s``/``mean_s`` over
-    ``repeats`` timed calls of one primitive on a fresh input.
+Each run document carries ``platform``, ``python_version``,
+``numpy_version`` and ``cpu_count``, then these sections:
+
 ``round_throughput``
     One entry per (backend, n): seconds for one fully-synchronous
     ATOM round of ``wait-free-gather`` on a random workload, and the
@@ -19,50 +18,35 @@ Schema (``repro-bench/1``)
 ``batch_round_throughput``
     One entry per (backend, n): seconds for one vectorized
     :class:`~repro.sim.BatchedSimulation` round stepping ``n_sims``
-    seeds at once, plus the derived ``per_seed_round_s`` (the number
-    the batched-engine regression gate watches) and
+    seeds at once, plus the derived ``per_seed_round_s`` and
     ``seed_rounds_per_s``.  Measured on the numpy backend only — the
     batched engine exists to amortize kernel calls across sims, which
     the python backend cannot do.
-``lcm_round_throughput``
-    One entry per (activation, n): seconds for one complete LCM cycle
-    of the unified engine under each activation model — one round for
-    ``atom``, a LOOK tick plus a MOVE tick for ``async`` — on the
-    python backend.  This is the dispatch-overhead guard for the
-    engine unification: the pluggable activation model must not make
-    the scalar loop slower.
 ``serve_request_latency``
     Cold-vs-warm ``POST /run`` latency against an in-process
     ``repro serve`` daemon on an ephemeral port: ``cold_s`` is the
     first request (cache miss, full simulation), ``warm_s`` the best of
-    ``repeats`` cache hits — the serving layer's overhead floor, which
-    the regression gate watches.  Skipped (empty) when the loopback
-    socket cannot bind.
+    ``repeats`` cache hits.  Skipped (empty) when the loopback socket
+    cannot bind.
 ``serve_shed_latency``
-    Response latency under synthetic overload (every handler slowed by
-    deterministic chaos, all clients firing at once), once with
-    ``--max-inflight`` admission control and once unbounded: p50/p99/max
-    plus the shed count per mode.  Recorded for the load-shed curve in
-    EXPERIMENTS.md, not gated — the warm-hit key above is the gate.
+    Response latency under synthetic overload (all clients firing at
+    once), once with ``--max-inflight`` admission control and once
+    unbounded: p50/p99/max plus the shed count per mode.
 ``speedups``
     Python-over-numpy ratios of the round times per size (only when
     both backends ran), plus batched-over-scalar per-seed-round ratios
     (``metric: "batch_round_throughput"``) when the batched rounds ran.
 
-Timing methodology: wall-clock ``time.perf_counter`` around the call,
-*best of repeats* as the headline number (robust against scheduler
-noise; the mean is also recorded).  Inputs are rebuilt fresh for every
-repetition because configurations memoize their derived structure — a
-second call on the same object would time a dict lookup.
+Timing methodology: wall-clock ``time.perf_counter`` around the call.
+One round is seconds to minutes of work at the larger sizes, so rounds
+are timed once; warm serve requests take the best of repeats.
 
 History (``repro-bench/2``)
 ---------------------------
 The file on disk is a *history*, not a single run: ``latest`` holds the
-most recent per-run document (the regression-guard view) and ``runs`` an
-append-only array of ``{git_sha, recorded_at, document}`` entries, one
-per ``repro bench`` invocation — the perf trajectory across commits.
-:func:`write_bench` converts a legacy single-document file into the
-first history entry instead of discarding it.
+most recent run document and ``runs`` an append-only array of
+``{git_sha, recorded_at, document}`` entries, one per ``repro bench``
+invocation — the perf trajectory across commits.
 """
 
 from __future__ import annotations
@@ -73,14 +57,13 @@ import platform
 import subprocess
 import sys
 import time
+from http.client import HTTPConnection
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .algorithms import WaitFreeGather
-from .core import Configuration, safe_points
-from .core.views import view_table
-from .geometry import geometric_median, kernels
+from .geometry import kernels
 from .resilience import TraceFormatError, atomic_write
-from .sim import AtomicActivation, BatchedSimulation, PhasedActivation, Simulation
+from .sim import BatchedSimulation, Simulation
 from .sim.scheduler import FullySynchronous
 from .workloads import generate
 
@@ -88,7 +71,6 @@ __all__ = [
     "run_bench",
     "write_bench",
     "load_history",
-    "check_regressions",
     "DEFAULT_SIZES",
     "QUICK_SIZES",
 ]
@@ -111,35 +93,6 @@ _SEED = 42
 _BATCH_SIMS = {16: 256, 64: 64, 256: 8}
 
 
-def _time_best(fn: Callable[[], object], repeats: int) -> Dict[str, float]:
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    return {
-        "best_s": min(samples),
-        "mean_s": sum(samples) / len(samples),
-        "repeats": repeats,
-    }
-
-
-def _micro_cases(points) -> Dict[str, Callable[[], object]]:
-    """The micro-benchmarked primitives, each on a *fresh* input.
-
-    Every thunk rebuilds its :class:`Configuration` inside the timed
-    region where the primitive needs one, except ``configuration``
-    itself (whose construction — the tolerant cluster merge — is the
-    thing being measured).
-    """
-    return {
-        "configuration": lambda: Configuration(points),
-        "view_table": lambda: view_table(Configuration(points)),
-        "safe_points": lambda: safe_points(Configuration(points)),
-        "geometric_median": lambda: geometric_median(points),
-    }
-
-
 def _one_round_seconds(n: int) -> float:
     """One fully-synchronous round of the paper's algorithm, timed."""
     sim = Simulation(
@@ -150,31 +103,6 @@ def _one_round_seconds(n: int) -> float:
     )
     start = time.perf_counter()
     sim.step()
-    return time.perf_counter() - start
-
-
-def _lcm_cycle_seconds(n: int, activation_name: str) -> float:
-    """One complete LCM cycle under the named activation model, timed.
-
-    ``atom`` completes a cycle per round; ``async`` needs a LOOK tick
-    and a MOVE tick under the fully-synchronous scheduler, so two
-    steps are timed — either way the measurement covers one full
-    look/compute/move pass for every robot.
-    """
-    activation = (
-        AtomicActivation() if activation_name == "atom" else PhasedActivation()
-    )
-    sim = Simulation(
-        WaitFreeGather(),
-        generate("random", n, _SEED),
-        scheduler=FullySynchronous(),
-        activation=activation,
-        seed=1,
-    )
-    steps = 1 if activation_name == "atom" else 2
-    start = time.perf_counter()
-    for _ in range(steps):
-        sim.step()
     return time.perf_counter() - start
 
 
@@ -194,6 +122,23 @@ def _batched_round_seconds(n: int, n_sims: int) -> float:
     start = time.perf_counter()
     sims.step_round()
     return time.perf_counter() - start
+
+
+def _post_run(host: str, port: int, payload: dict) -> int:
+    """One ``POST /run`` round trip on a fresh connection -> status."""
+    conn = HTTPConnection(host, port, timeout=120.0)
+    try:
+        conn.request(
+            "POST",
+            "/run",
+            body=json.dumps(payload).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        response.read()
+        return response.status
+    finally:
+        conn.close()
 
 
 #: Scenario served by the request-latency benchmark: small enough that
@@ -217,7 +162,7 @@ def _serve_request_latency(repeats: int) -> List[Dict]:
     """
     import threading
 
-    from .serve.server import ReproServer, _request
+    from .serve.server import ReproServer
 
     try:
         server = ReproServer(port=0)
@@ -229,9 +174,7 @@ def _serve_request_latency(repeats: int) -> List[Dict]:
         payload = {"scenario": _SERVE_SCENARIO, "seed": 0}
 
         start = time.perf_counter()
-        status, _, _ = _request(
-            server.host, server.port, "POST", "/run", payload
-        )
+        status = _post_run(server.host, server.port, payload)
         cold_s = time.perf_counter() - start
         if status != 200:
             return []
@@ -239,7 +182,7 @@ def _serve_request_latency(repeats: int) -> List[Dict]:
         warm = []
         for _ in range(repeats):
             start = time.perf_counter()
-            _request(server.host, server.port, "POST", "/run", payload)
+            _post_run(server.host, server.port, payload)
             warm.append(time.perf_counter() - start)
     finally:
         server.close()
@@ -267,13 +210,12 @@ def _serve_shed_latency(threads: int = 8, per_thread: int = 4) -> List[Dict]:
     single simulation slot.  With ``--max-inflight`` the daemon sheds
     the excess as instant 429s, so the latency distribution stays flat;
     unbounded, every request queues behind the slot and the tail grows
-    linearly with the offered load.  Recorded (p50/p99/shed per mode),
-    not gated — the *warm hit* latency key is the regression gate; this
-    section documents the load-shed curve for EXPERIMENTS.md.
+    linearly with the offered load.  Recorded (p50/p99/shed per mode)
+    for the load-shed table in EXPERIMENTS.md.
     """
     import threading as _threading
 
-    from .serve.server import ReproServer, _request
+    from .serve.server import ReproServer
 
     entries: List[Dict] = []
     for mode, max_inflight in (("admission", 2), ("unbounded", None)):
@@ -291,9 +233,7 @@ def _serve_shed_latency(threads: int = 8, per_thread: int = 4) -> List[Dict]:
                 "seed": 0,
                 "cache": False,
             }
-            status, _, _ = _request(
-                server.host, server.port, "POST", "/run", payload
-            )
+            status = _post_run(server.host, server.port, payload)
             if status != 200:
                 return entries
             latencies: List[float] = []
@@ -305,8 +245,8 @@ def _serve_shed_latency(threads: int = 8, per_thread: int = 4) -> List[Dict]:
                 barrier.wait()
                 for _ in range(per_thread):
                     start = time.perf_counter()
-                    response_status, _, _ = _request(
-                        server.host, server.port, "POST", "/run", payload
+                    response_status = _post_run(
+                        server.host, server.port, payload
                     )
                     elapsed = time.perf_counter() - start
                     with lock:
@@ -361,21 +301,11 @@ def run_bench(
 
         numpy_version = numpy.__version__
 
-    micro: List[Dict] = []
     round_throughput: List[Dict] = []
     for backend_name in backends:
         with kernels.backend(backend_name):
             for n in sizes:
-                points = generate("random", n, _SEED)
-                for name, thunk in _micro_cases(points).items():
-                    say(f"micro {name} backend={backend_name} n={n}")
-                    entry = {"name": name, "backend": backend_name, "n": n}
-                    entry.update(_time_best(thunk, repeats))
-                    micro.append(entry)
                 say(f"round backend={backend_name} n={n}")
-                # One round is seconds-to-minutes of work at the larger
-                # sizes; a single sample is already noise-dominated by
-                # real computation, so rounds are not repeated.
                 round_s = _one_round_seconds(n)
                 round_throughput.append(
                     {
@@ -401,22 +331,6 @@ def run_bench(
                         "round_s": round_s,
                         "per_seed_round_s": round_s / n_sims,
                         "seed_rounds_per_s": n_sims / round_s,
-                    }
-                )
-
-    lcm_round_throughput: List[Dict] = []
-    with kernels.backend("python"):
-        for activation_name in ("atom", "async"):
-            for n in sizes:
-                say(f"lcm cycle activation={activation_name} n={n}")
-                cycle_s = _lcm_cycle_seconds(n, activation_name)
-                lcm_round_throughput.append(
-                    {
-                        "activation": activation_name,
-                        "backend": "python",
-                        "n": n,
-                        "cycle_s": cycle_s,
-                        "robots_per_s": n / cycle_s,
                     }
                 )
 
@@ -465,14 +379,13 @@ def run_bench(
         "python_version": sys.version.split()[0],
         "numpy_version": numpy_version,
         "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
         "workload": {"kind": "random", "seed": _SEED},
         "sizes": sizes,
         "repeats": repeats,
         "backends": backends,
-        "micro": micro,
         "round_throughput": round_throughput,
         "batch_round_throughput": batch_round_throughput,
-        "lcm_round_throughput": lcm_round_throughput,
         "serve_request_latency": serve_request_latency,
         "serve_shed_latency": serve_shed_latency,
         "speedups": speedups,
@@ -495,13 +408,11 @@ def _git_sha() -> Optional[str]:
 
 
 def load_history(path: str) -> Dict:
-    """Read a bench file into history form, whatever schema is on disk.
+    """Read a ``repro-bench/2`` history file.
 
-    A legacy ``repro-bench/1`` single-run file becomes a one-entry
-    history (its ``generated_at`` as the timestamp, no git SHA — the
-    commit it ran at was never recorded).  Corrupted JSON or a foreign
-    schema raises :class:`~repro.resilience.errors.TraceFormatError`
-    (a :class:`ValueError`) carrying the path and, for syntax errors,
+    Corrupted JSON or any other schema raises
+    :class:`~repro.resilience.errors.TraceFormatError` (a
+    :class:`ValueError`) carrying the path and, for syntax errors,
     the line/offset — so a stale or truncated file fails loudly rather
     than being silently clobbered by the next bench run.
     """
@@ -530,156 +441,16 @@ def load_history(path: str) -> Dict:
     schema = data.get("schema") if isinstance(data, dict) else None
     if schema == HISTORY_SCHEMA:
         return data
-    if schema == SCHEMA:
-        return {
-            "schema": HISTORY_SCHEMA,
-            "latest": data,
-            "runs": [
-                {
-                    "git_sha": None,
-                    "recorded_at": data.get("generated_at"),
-                    "document": data,
-                }
-            ],
-        }
     raise TraceFormatError(
-        f"{path!r} is not a {SCHEMA}/{HISTORY_SCHEMA} file "
-        f"(schema={schema!r})",
+        f"{path!r} is not a {HISTORY_SCHEMA} file (schema={schema!r})",
         path=path,
     )
-
-
-def _median(values: Sequence[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def check_regressions(
-    history: Dict,
-    document: Dict,
-    threshold: float = 0.25,
-    window: int = 5,
-) -> List[Dict]:
-    """Regression gate: ``document`` against the recent history.
-
-    For every benchmark key — ``(name, backend, n)`` of a micro
-    benchmark (``best_s``), ``(backend, n)`` of a round-throughput
-    measurement (``round_s``) and ``(backend, n)`` of a batched
-    round-throughput measurement (``per_seed_round_s``; normalized per
-    seed so retuning ``n_sims`` cannot dodge the gate),
-    ``(activation, n)`` of an LCM-cycle measurement (``cycle_s``, the
-    unified engine's per-activation-model dispatch cost) and
-    ``(endpoint, n)`` of a serve-latency measurement (``warm_s``, the
-    cache-hit overhead floor; ``cold_s`` is simulation-dominated and
-    already covered by the round gates) — the baseline
-    is the **median over the last ``window`` history runs** that
-    measured that key.  The median
-    (not the best or the mean) absorbs the odd noisy run without
-    letting a slow drift hide; keys the history never measured are
-    skipped, so shrinking or growing the size matrix cannot fail the
-    gate spuriously.
-
-    Returns one dict per regression (``current > baseline * (1 +
-    threshold)``): metric, key, current/baseline seconds, ratio, and
-    the number of history samples behind the baseline.  Empty list =
-    gate passes.  ``repro bench --check`` exits non-zero on a
-    non-empty return.
-    """
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    recent = [
-        run.get("document") or {} for run in history.get("runs", [])[-window:]
-    ]
-
-    micro_samples: Dict[tuple, List[float]] = {}
-    round_samples: Dict[tuple, List[float]] = {}
-    batch_samples: Dict[tuple, List[float]] = {}
-    lcm_samples: Dict[tuple, List[float]] = {}
-    serve_samples: Dict[tuple, List[float]] = {}
-    for doc in recent:
-        for entry in doc.get("micro", []):
-            key = (entry["name"], entry["backend"], entry["n"])
-            micro_samples.setdefault(key, []).append(entry["best_s"])
-        for entry in doc.get("round_throughput", []):
-            key = (entry["backend"], entry["n"])
-            round_samples.setdefault(key, []).append(entry["round_s"])
-        for entry in doc.get("batch_round_throughput", []):
-            key = (entry["backend"], entry["n"])
-            batch_samples.setdefault(key, []).append(
-                entry["per_seed_round_s"]
-            )
-        for entry in doc.get("lcm_round_throughput", []):
-            key = (entry["activation"], entry["n"])
-            lcm_samples.setdefault(key, []).append(entry["cycle_s"])
-        for entry in doc.get("serve_request_latency", []):
-            key = (entry["endpoint"], entry["n"])
-            serve_samples.setdefault(key, []).append(entry["warm_s"])
-
-    regressions: List[Dict] = []
-
-    def gate(metric: str, key: tuple, current: float,
-             samples: Optional[List[float]]) -> None:
-        if not samples:
-            return
-        baseline = _median(samples)
-        if baseline <= 0.0 or current <= baseline * (1.0 + threshold):
-            return
-        regressions.append(
-            {
-                "metric": metric,
-                "key": "/".join(str(part) for part in key),
-                "current_s": current,
-                "baseline_s": baseline,
-                "ratio": current / baseline,
-                "window": len(samples),
-            }
-        )
-
-    for entry in document.get("micro", []):
-        key = (entry["name"], entry["backend"], entry["n"])
-        gate("micro", key, entry["best_s"], micro_samples.get(key))
-    for entry in document.get("round_throughput", []):
-        key = (entry["backend"], entry["n"])
-        gate(
-            "round_throughput", key, entry["round_s"], round_samples.get(key)
-        )
-    for entry in document.get("batch_round_throughput", []):
-        key = (entry["backend"], entry["n"])
-        gate(
-            "batch_round_throughput",
-            key,
-            entry["per_seed_round_s"],
-            batch_samples.get(key),
-        )
-    for entry in document.get("lcm_round_throughput", []):
-        key = (entry["activation"], entry["n"])
-        gate(
-            "lcm_round_throughput",
-            key,
-            entry["cycle_s"],
-            lcm_samples.get(key),
-        )
-    for entry in document.get("serve_request_latency", []):
-        key = (entry["endpoint"], entry["n"])
-        gate(
-            "serve_request_latency",
-            key,
-            entry["warm_s"],
-            serve_samples.get(key),
-        )
-    return regressions
 
 
 def write_bench(document: Dict, path: str) -> None:
     """Append ``document`` to the bench history at ``path``.
 
-    ``latest`` always mirrors the newest run so regression guards read
-    one key; the ``runs`` array keeps every prior run (keyed by git SHA
+    ``latest`` always mirrors the newest run; the ``runs`` array keeps every prior run (keyed by git SHA
     and timestamp), which is what makes the performance trajectory
     across commits recoverable from the file alone.
 

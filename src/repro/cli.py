@@ -17,8 +17,9 @@ Three subcommands:
     seed sweeps over processes.
 
 ``bench``
-    Run the micro + round-throughput benchmarks over every available
-    kernel backend and write ``BENCH_micro.json``.
+    Measure the published scaling numbers (scalar, batched and serve)
+    over every available kernel backend and append them to
+    ``BENCH_micro.json``.
 
 ``check``
     The reproducibility gate: re-simulate archived traces and verify
@@ -39,8 +40,6 @@ Three subcommands:
     /run`` and ``POST /sweep`` served through a content-addressed
     result cache (deterministic simulation makes cache hits exact and
     permanent), ``GET /healthz`` and ``GET /metrics`` for operations.
-    ``--selftest`` exercises the daemon end to end on an ephemeral
-    port and exits.
 
 ``stats``
     Summarize a trace JSON or an observability JSONL event stream as
@@ -185,28 +184,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run micro + round-throughput benchmarks, write JSON",
+        help="record the published scaling numbers, append JSON",
     )
     bench.add_argument("--output", default="BENCH_micro.json",
                        help="path of the JSON report (default: BENCH_micro.json)")
     bench.add_argument("--quick", action="store_true",
                        help="small sizes only (CI-friendly)")
     bench.add_argument("--repeats", type=int, default=3,
-                       help="timed repetitions per micro benchmark (best-of)")
+                       help="recorded repeat count; warm serve requests "
+                            "take the best of max(repeats, 5)")
     bench.add_argument("--sizes", type=int, nargs="+", default=None,
                        metavar="N", help="override the team sizes to measure")
-    bench.add_argument("--check", action="store_true",
-                       help="regression gate: compare this run against the "
-                            "median of the last runs in the history at "
-                            "--output and exit non-zero when a benchmark "
-                            "slowed past --threshold")
-    bench.add_argument("--threshold", type=float, default=0.25,
-                       metavar="FRAC",
-                       help="allowed slowdown over the history median "
-                            "before --check fails (default 0.25 = 25%%)")
-    bench.add_argument("--window", type=int, default=5, metavar="K",
-                       help="history runs the --check baseline median is "
-                            "taken over (default 5)")
 
     hunt = sub.add_parser(
         "hunt",
@@ -441,16 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "admission, cache, worker spans joined by "
                             "request id) to a repro-spans-v1 file; "
                             "convert with 'repro trace-export'")
-    serve.add_argument("--selftest", action="store_true",
-                       help="start a daemon on an ephemeral port, "
-                            "exercise every endpoint (cache hits, "
-                            "byte-identical repeats, latency ratio, "
-                            "error mapping, load shedding, deadlines), "
-                            "and exit")
-    serve.add_argument("--selftest-timeout", type=float, default=120.0,
-                       metavar="SEC",
-                       help="per-round-trip client timeout of the "
-                            "selftest (default 120)")
 
     serve_store = sub.add_parser(
         "serve-store",
@@ -743,25 +721,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import (
-        QUICK_SIZES,
-        check_regressions,
-        load_history,
-        run_bench,
-        write_bench,
-    )
+    from .bench import QUICK_SIZES, run_bench, write_bench
 
     if args.repeats < 1:
         print("error: --repeats must be >= 1", file=sys.stderr)
         return 2
     sizes = args.sizes if args.sizes else (QUICK_SIZES if args.quick else None)
-    # The baseline is read *before* this run is appended, so the gate
-    # never compares a run against itself.
-    history = (
-        load_history(args.output)
-        if args.check and os.path.exists(args.output)
-        else None
-    )
     document = run_bench(
         sizes=sizes,
         repeats=args.repeats,
@@ -783,40 +748,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 f"numpy {entry['numpy_s']:.3f}s per round "
                 f"-> {entry['speedup']:.1f}x"
             )
-    if args.check:
-        if history is None:
-            print(
-                "bench check: no prior history to compare against; "
-                "this run becomes the baseline"
-            )
-            return 0
-        regressions = check_regressions(
-            history,
-            document,
-            threshold=args.threshold,
-            window=args.window,
-        )
-        if regressions:
-            for reg in regressions:
-                print(
-                    f"bench REGRESSION: {reg['metric']} {reg['key']}: "
-                    f"{reg['current_s']:.6f}s vs median "
-                    f"{reg['baseline_s']:.6f}s over last "
-                    f"{reg['window']} run(s) "
-                    f"({reg['ratio']:.2f}x, threshold "
-                    f"{1.0 + args.threshold:.2f}x)",
-                    file=sys.stderr,
-                )
-            print(
-                f"bench check FAILED: {len(regressions)} regression(s)",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"bench check ok (no benchmark slowed more than "
-            f"{args.threshold:.0%} over the median of the last "
-            f"{args.window} run(s))"
-        )
     return 0
 
 
@@ -1083,16 +1014,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from .serve import ReproServer, run_selftest
+    from .serve import ReproServer
 
     policy = RunPolicy(timeout=args.timeout, retries=args.retries)
-    if args.selftest:
-        return run_selftest(
-            workers=args.workers,
-            store_root=args.store,
-            request_timeout=args.selftest_timeout,
-        )
-
     server = ReproServer(
         host=args.host,
         port=args.port,

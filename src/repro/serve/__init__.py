@@ -15,7 +15,7 @@ live in :mod:`~repro.serve.admission`.
 
 from .admission import AdmissionController, CircuitBreaker, Deadline, SingleFlight
 from .protocol import SERVE_SCHEMA
-from .server import ReproServer, run_selftest
+from .server import ReproServer
 from .store import STORE_SCHEMA, ResultStore, result_key
 
 __all__ = [
@@ -28,5 +28,4 @@ __all__ = [
     "ReproServer",
     "ResultStore",
     "result_key",
-    "run_selftest",
 ]

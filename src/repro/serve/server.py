@@ -58,7 +58,6 @@ import threading
 import time
 from dataclasses import replace
 from functools import partial
-from http.client import HTTPConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -100,7 +99,7 @@ from .tracing import (
     clean_request_id,
 )
 
-__all__ = ["ReproServer", "run_selftest"]
+__all__ = ["ReproServer"]
 
 logger = logging.getLogger("repro.serve")
 
@@ -124,8 +123,8 @@ class ReproServer:
     """One daemon instance: HTTP server + warm pool + result store.
 
     ``port=0`` binds an ephemeral port (read it back from :attr:`port`
-    after construction) — what the selftest and the test suite use so
-    parallel CI runs never collide.
+    after construction) — what ``repro bench`` and the test suite use
+    so parallel CI runs never collide.
 
     ``max_inflight`` bounds concurrently admitted work in weighted
     units (``/run`` = 1, ``/sweep`` = ``sweep_weight``); ``None``
@@ -718,6 +717,7 @@ class _Handler(BaseHTTPRequestHandler):
     _admission: Optional[str] = None
     _trace: Optional[RequestTrace] = None
     _t0: float = 0.0
+    _body_read = False
 
     # -- structured access log ---------------------------------------------
 
@@ -763,6 +763,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._cache_state = None
         self._admission = None
         self._trace = None
+        self._body_read = False
 
     def _finish_access(self) -> None:
         app = self.server.app
@@ -803,6 +804,7 @@ class _Handler(BaseHTTPRequestHandler):
                 f"{protocol.MAX_BODY_BYTES}-byte limit",
                 path="<request>",
             )
+        self._body_read = True
         return self.rfile.read(length) if length else b""
 
     def _send_json(
@@ -826,6 +828,13 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("X-Repro-Cache", cache_state)
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
+        if self.command == "POST" and not self._body_read:
+            # Refused before its body was read (unknown endpoint, shed,
+            # draining, oversized): the unread bytes would be parsed as
+            # the next request, so the connection ends with this
+            # response.  Draining the body instead would make shedding
+            # cost as much as the request it refuses.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 
@@ -1112,298 +1121,3 @@ class _Handler(BaseHTTPRequestHandler):
             ).encode("utf-8")
         )
         self._end_chunks()
-
-
-# -- selftest -----------------------------------------------------------------
-
-
-def _request(
-    host: str,
-    port: int,
-    method: str,
-    path: str,
-    payload: Optional[dict] = None,
-    *,
-    timeout: float = 120.0,
-    headers: Optional[Dict[str, str]] = None,
-) -> Tuple[int, dict, bytes]:
-    """One HTTP round trip -> (status, headers dict, body bytes)."""
-    conn = HTTPConnection(host, port, timeout=timeout)
-    try:
-        body = None if payload is None else json.dumps(payload).encode()
-        send_headers = dict(headers or {})
-        if body is not None:
-            send_headers.setdefault("Content-Type", "application/json")
-        conn.request(method, path, body=body, headers=send_headers)
-        response = conn.getresponse()
-        data = response.read()
-        return response.status, dict(response.getheaders()), data
-    finally:
-        conn.close()
-
-
-def run_selftest(
-    workers: Optional[int] = None,
-    store_root: Optional[str] = None,
-    *,
-    echo=print,
-    request_timeout: float = 120.0,
-) -> int:
-    """End-to-end daemon exercise on an ephemeral port, no state leaks.
-
-    Asserts the PR's acceptance properties directly: a repeated
-    ``POST /run`` is a cache hit with a byte-identical body, the sweep
-    stream repeats byte-identically, the cold/warm latency ratio
-    clears 10x, errors map onto taxonomy HTTP statuses (including the
-    429 shed path and the deadline 504), readiness splits from
-    liveness, and ``/metrics`` records the hits.  ``request_timeout``
-    bounds every client round trip so a wedged daemon fails the
-    selftest instead of hanging it.  Returns a process exit code.
-    """
-    # Heavy enough that the cold run dwarfs HTTP round-trip overhead
-    # (the warm path's floor), so the >= 10x ratio check has margin.
-    scenario = {
-        "workload": "random",
-        "n": 10,
-        "f": 2,
-        "crashes": "random",
-        "max_rounds": 5_000,
-    }
-    server = ReproServer(
-        workers=workers,
-        store_root=store_root,
-        policy=RunPolicy(retries=1),
-        max_inflight=4,
-        sweep_weight=8,
-    )
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.host, server.port
-    failures: List[str] = []
-
-    def check(condition: bool, label: str) -> None:
-        echo(f"  {'ok' if condition else 'FAIL'}: {label}")
-        if not condition:
-            failures.append(label)
-
-    def request(method, path, payload=None, headers=None):
-        return _request(
-            host,
-            port,
-            method,
-            path,
-            payload,
-            timeout=request_timeout,
-            headers=headers,
-        )
-
-    try:
-        echo(f"selftest daemon on http://{host}:{port}")
-
-        status, _, body = request("GET", "/healthz")
-        document = json.loads(body)
-        check(
-            status == 200 and document["status"] == "ok",
-            "GET /healthz",
-        )
-        check(document.get("ready") is True, "healthz reports ready")
-        status, _, _ = request("GET", "/readyz")
-        check(status == 200, "GET /readyz is 200 while serving")
-
-        t0 = time.perf_counter()
-        status, headers, cold = request(
-            "POST", "/run", {"scenario": scenario, "seed": 1}
-        )
-        cold_s = time.perf_counter() - t0
-        check(status == 200, "POST /run (cold)")
-        check(headers.get("X-Repro-Cache") == "miss", "cold run is a miss")
-
-        check(
-            bool(headers.get("X-Repro-Request-Id")),
-            "server generates a request id when the client sends none",
-        )
-
-        t0 = time.perf_counter()
-        status, headers, warm = request(
-            "POST",
-            "/run",
-            {"scenario": scenario, "seed": 1},
-            headers={"X-Repro-Request-Id": "selftest-warm-run-1"},
-        )
-        warm_s = time.perf_counter() - t0
-        check(status == 200, "POST /run (warm)")
-        check(headers.get("X-Repro-Cache") == "hit", "warm run is a hit")
-        check(
-            headers.get("X-Repro-Request-Id") == "selftest-warm-run-1",
-            "client-supplied request id is echoed verbatim",
-        )
-        check(warm == cold, "warm body is byte-identical to cold")
-        ratio = cold_s / warm_s if warm_s > 0 else float("inf")
-        echo(
-            f"  latency: cold {cold_s * 1e3:.1f}ms, warm "
-            f"{warm_s * 1e3:.1f}ms -> {ratio:.0f}x"
-        )
-        check(ratio >= 10.0, "cold/warm latency ratio >= 10x")
-
-        status, headers, _ = request(
-            "POST",
-            "/run",
-            {"scenario": scenario, "seed": 1, "cache": False},
-        )
-        check(
-            status == 200 and headers.get("X-Repro-Cache") == "bypass",
-            "cache:false bypasses the store",
-        )
-
-        sweep = {"scenario": scenario, "seed_start": 0, "seed_count": 4}
-        status, _, first = request("POST", "/sweep", sweep)
-        check(
-            status == 200 and first.count(b"\n") == 5,
-            "POST /sweep streams 4 seeds + summary",
-        )
-        status, _, second = request("POST", "/sweep", sweep)
-        check(second == first, "repeated sweep is byte-identical")
-
-        status, _, body = request(
-            "POST", "/run", {"scenario": {"workload": "nope"}}
-        )
-        check(
-            status == 400 and json.loads(body)["kind"] == "error",
-            "malformed scenario -> structured 400",
-        )
-
-        # A microscopic deadline on a cold seed: the budget is spent
-        # before dispatch, so the taxonomy's 504 comes back (and the
-        # admission slot was freed — the next request succeeds).
-        status, _, body = request(
-            "POST",
-            "/run",
-            {"scenario": scenario, "seed": 91, "deadline_s": 1e-6},
-        )
-        check(
-            status == 504
-            and json.loads(body)["error"] == "RequestDeadlineError",
-            "expired deadline -> structured 504",
-        )
-
-        # Load shedding: a heavy cold sweep (weight 8 > budget 4 —
-        # admitted because the daemon is idle) holds the whole budget;
-        # a /run racing it must see a structured 429 + Retry-After.
-        # Synchronize on the in-flight gauge (GET /metrics bypasses
-        # admission): first wait for the previous request's slot to be
-        # released so the sweep itself is not the one shed, then wait
-        # for the sweep to be admitted before probing.
-        def inflight() -> int:
-            _, _, body = request("GET", "/metrics")
-            return json.loads(body)["robustness"]["inflight"]
-
-        for _ in range(200):
-            if inflight() == 0:
-                break
-            time.sleep(0.005)
-        blocker = {
-            "scenario": scenario,
-            "seed_start": 100,
-            "seed_count": 8,
-        }
-        blocker_result: dict = {}
-
-        def run_blocker():
-            blocker_result["response"] = request("POST", "/sweep", blocker)
-
-        blocker_thread = threading.Thread(target=run_blocker)
-        blocker_thread.start()
-        shed = None
-        try:
-            for _ in range(200):
-                if not blocker_thread.is_alive():
-                    break
-                if inflight() < 8:
-                    time.sleep(0.002)
-                    continue
-                status, headers, body = request(
-                    "POST", "/run", {"scenario": scenario, "seed": 1}
-                )
-                if status == 429:
-                    shed = (status, headers, body)
-                    break
-        finally:
-            blocker_thread.join(timeout=request_timeout)
-        check(shed is not None, "overload -> 429 while a sweep holds the budget")
-        check(
-            blocker_result.get("response", (0,))[0] == 200,
-            "the blocking sweep itself completed",
-        )
-        if shed is not None:
-            status, headers, body = shed
-            check(
-                json.loads(body)["error"] == "ServerOverloadedError",
-                "429 body names ServerOverloadedError",
-            )
-            check(
-                int(headers.get("Retry-After", 0)) >= 1,
-                "429 carries Retry-After",
-            )
-
-        status, _, body = request("GET", "/metrics")
-        document = json.loads(body)
-        cache = document.get("cache", {})
-        robustness = document.get("robustness", {})
-        check(status == 200, "GET /metrics")
-        check(
-            cache.get("hits", 0) >= 5,
-            f"cache hit counter recorded ({cache.get('hits')} hits)",
-        )
-        check(
-            "serve.run.latency_seconds" in document.get("request_latency", {}),
-            "per-endpoint latency histogram present",
-        )
-        check(
-            robustness.get("deadline_exceeded", 0) >= 1
-            and (shed is None or robustness.get("rejected", 0) >= 1),
-            "robustness counters recorded the shed + deadline",
-        )
-        check(
-            robustness.get("breaker_state") == "closed",
-            "breaker closed after a healthy run",
-        )
-
-        # Prometheus exposition: same endpoint, negotiated via Accept.
-        status, headers, text = request(
-            "GET", "/metrics", headers={"Accept": "text/plain"}
-        )
-        check(
-            status == 200
-            and headers.get("Content-Type", "").startswith("text/plain"),
-            "GET /metrics negotiates the Prometheus exposition",
-        )
-        scraped = text.decode("utf-8")
-        samples = 0
-        parse_ok = True
-        for line in scraped.splitlines():
-            if not line or line.startswith("#"):
-                continue
-            try:
-                name_part, value_part = line.rsplit(" ", 1)
-                float(value_part)
-                samples += 1
-            except ValueError:
-                parse_ok = False
-                break
-        check(
-            parse_ok and samples > 0,
-            f"Prometheus scrape parses ({samples} samples)",
-        )
-        check(
-            "repro_serve_run_requests_total" in scraped
-            and "repro_serve_run_latency_seconds_bucket" in scraped,
-            "exposition carries run counters and latency buckets",
-        )
-    finally:
-        server.close()
-
-    if failures:
-        echo(f"selftest FAILED: {len(failures)} check(s)")
-        return 1
-    echo("selftest ok")
-    return 0

@@ -145,7 +145,7 @@ class ResultStore:
 
     ``hits`` / ``misses`` / ``disk_hits`` / ``stores`` / ``quarantined``
     / ``write_errors`` / ``read_errors`` are plain counters read by
-    ``GET /metrics`` and the ``--selftest`` assertions; they make the
+    ``GET /metrics`` and the serve tests; they make the
     cache auditable without scraping logs.
 
     ``chaos`` (a :class:`~repro.resilience.ChaosPolicy`, normally wired

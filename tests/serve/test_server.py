@@ -152,6 +152,8 @@ class TestOperationalEndpoints:
             body = json.loads(raw)
             assert body["status"] == "ok"
             assert body["backend"] in ("python", "numpy")
+            assert body["ready"] is True
+            assert client.request("GET", "/readyz")[0] == 200
 
     def test_metrics_records_requests_cache_and_sweep_aggregate(self):
         with serving() as client:

@@ -4,14 +4,19 @@ The primitives are unit-tested in ``test_admission.py``; here we prove
 the daemon actually threads them through the HTTP path: deadlines become
 structured 504s that free their slot, an exhausted budget becomes a 429
 with ``Retry-After``, draining and an open breaker flip ``/readyz``
-while ``/healthz`` stays alive, and ``/metrics`` exposes it all.
+while ``/healthz`` stays alive, a refusal sent before the body is read
+never desyncs a keep-alive connection, and ``/metrics`` exposes it all.
 """
 
 import json
 import threading
 import time
+from http.client import HTTPConnection
+
+import pytest
 
 from repro.resilience import ChaosPolicy
+from repro.serve.protocol import MAX_BODY_BYTES
 
 from .client import serving
 
@@ -22,6 +27,23 @@ SCENARIO = {
     "crashes": "random",
     "max_rounds": 5000,
 }
+
+
+def _hold_budget(client):
+    """Start a ``/run`` in a thread and return ``(thread, responses)``
+    once it holds the admission budget."""
+    responses = []
+    thread = threading.Thread(
+        target=lambda: responses.append(client.run(SCENARIO, seed=1))
+    )
+    thread.start()
+    deadline = time.monotonic() + 5.0
+    while (
+        client.server.admission.inflight == 0
+        and time.monotonic() < deadline
+    ):
+        time.sleep(0.005)
+    return thread, responses
 
 
 class TestDeadlines:
@@ -36,6 +58,7 @@ class TestDeadlines:
             # impossible budget computes normally.
             status, _, _ = client.run(SCENARIO, seed=5)
             assert status == 200
+            assert client.metrics()["robustness"]["deadline_exceeded"] == 1
 
     def test_server_default_deadline_applies(self):
         with serving(request_deadline=1e-6) as client:
@@ -75,17 +98,8 @@ class TestLoadShedding:
         # a deterministic long-running request to race against.
         chaos = ChaosPolicy(seed=1, serve_slow=1.0, serve_slow_s=0.5)
         with serving(max_inflight=1, chaos=chaos) as client:
-            blocker = threading.Thread(
-                target=client.run, args=(SCENARIO,), kwargs={"seed": 1}
-            )
-            blocker.start()
+            blocker, blocked = _hold_budget(client)
             try:
-                deadline = time.monotonic() + 5.0
-                while (
-                    client.server.admission.inflight == 0
-                    and time.monotonic() < deadline
-                ):
-                    time.sleep(0.005)
                 status, headers, raw = client.run(SCENARIO, seed=2)
             finally:
                 blocker.join()
@@ -93,6 +107,7 @@ class TestLoadShedding:
             assert status == 429
             assert body["error"] == "ServerOverloadedError"
             assert int(headers["Retry-After"]) >= 1
+            assert blocked[0][0] == 200  # the request holding the budget
             # Shedding is not an outage: once the blocker finishes,
             # the same request is admitted and served.
             status, _, _ = client.run(SCENARIO, seed=2)
@@ -100,6 +115,50 @@ class TestLoadShedding:
             robustness = client.metrics()["robustness"]
             assert robustness["rejected"] >= 1
             assert robustness["max_inflight"] == 1
+
+    @pytest.mark.parametrize(
+        "refusal, path, expected",
+        [
+            ("unknown-endpoint", "/nope", 404),
+            ("shed", "/run", 429),
+            ("draining", "/run", 503),
+            ("oversized", "/run", 400),
+        ],
+    )
+    def test_refused_post_keeps_connection_in_sync(
+        self, refusal, path, expected
+    ):
+        # Each refusal answers before the request body is read.  The
+        # next request on the same connection must get its own answer,
+        # not one for the leftover body bytes.
+        chaos = ChaosPolicy(seed=1, serve_slow=1.0, serve_slow_s=0.5)
+        with serving(max_inflight=1, chaos=chaos) as client:
+            headers = {"Content-Type": "application/json"}
+            blocker = None
+            if refusal == "oversized":
+                headers["Content-Length"] = str(MAX_BODY_BYTES + 1)
+            elif refusal == "draining":
+                client.server._draining = True
+            elif refusal == "shed":
+                blocker, _ = _hold_budget(client)
+            conn = HTTPConnection(client.host, client.port, timeout=30)
+            try:
+                body = json.dumps({"scenario": SCENARIO, "seed": 2})
+                conn.request("POST", path, body=body.encode(), headers=headers)
+                response = conn.getresponse()
+                response.read()
+                assert response.status == expected
+                # /healthz is neither admitted nor slowed, so it answers
+                # while the daemon drains or the blocker holds the budget.
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["status"] == "ok"
+            finally:
+                client.server._draining = False
+                conn.close()
+                if blocker is not None:
+                    blocker.join()
 
 
 class TestReadiness:
