@@ -4,8 +4,9 @@ If the Weber point were computable, gathering would be trivial: everyone
 walks towards it and Lemma 3.2 keeps it fixed while they do.  The paper's
 whole difficulty is that no finite algorithm computes the Weber point of
 an *arbitrary* configuration.  This baseline "cheats" with a numerical
-geometric-median solver (Weiszfeld to ~1e-12), which a real oblivious
-robot cannot do exactly — but in simulation it provides:
+geometric-median solver (Weiszfeld, stopping once a step moves at most
+``eps_solver = 1e-13``), which a real oblivious robot cannot do exactly —
+but in simulation it provides:
 
 * an upper-bound reference for convergence speed (experiment E4), and
 * ground truth for validating the exact quasi-regular Weber computation

@@ -26,8 +26,8 @@ Each run document carries ``platform``, ``python_version``,
     Cold-vs-warm ``POST /run`` latency against an in-process
     ``repro serve`` daemon on an ephemeral port: ``cold_s`` is the
     first request (cache miss, full simulation), ``warm_s`` the best of
-    ``repeats`` cache hits.  Skipped (empty) when the loopback socket
-    cannot bind.
+    five cache hits (recorded as ``repeats``).  Skipped (empty) when the
+    loopback socket cannot bind.
 ``serve_shed_latency``
     Response latency under synthetic overload (all clients firing at
     once), once with ``--max-inflight`` admission control and once
@@ -39,7 +39,7 @@ Each run document carries ``platform``, ``python_version``,
 
 Timing methodology: wall-clock ``time.perf_counter`` around the call.
 One round is seconds to minutes of work at the larger sizes, so rounds
-are timed once; warm serve requests take the best of repeats.
+are timed once; warm serve requests take the best of five.
 
 History (``repro-bench/2``)
 ---------------------------
@@ -151,9 +151,12 @@ _SERVE_SCENARIO = {
     "crashes": "random",
     "max_rounds": 5_000,
 }
+#: Warm cache hits timed per bench run.  Each is sub-millisecond, so
+#: five cost nothing and make the best-of robust to scheduler noise.
+_WARM_REPEATS = 5
 
 
-def _serve_request_latency(repeats: int) -> List[Dict]:
+def _serve_request_latency() -> List[Dict]:
     """Cold/warm ``POST /run`` timings against an in-process daemon.
 
     Returns a one-entry list (schema-wise a section like the others), or
@@ -180,7 +183,7 @@ def _serve_request_latency(repeats: int) -> List[Dict]:
             return []
 
         warm = []
-        for _ in range(repeats):
+        for _ in range(_WARM_REPEATS):
             start = time.perf_counter()
             _post_run(server.host, server.port, payload)
             warm.append(time.perf_counter() - start)
@@ -195,7 +198,7 @@ def _serve_request_latency(repeats: int) -> List[Dict]:
             "cold_s": cold_s,
             "warm_s": warm_s,
             "warm_mean_s": sum(warm) / len(warm),
-            "repeats": repeats,
+            "repeats": _WARM_REPEATS,
             "speedup": cold_s / warm_s,
         }
     ]
@@ -284,13 +287,10 @@ def _serve_shed_latency(threads: int = 8, per_thread: int = 4) -> List[Dict]:
 
 def run_bench(
     sizes: Optional[Sequence[int]] = None,
-    repeats: int = 3,
     backends: Optional[Sequence[str]] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> Dict:
     """Run the full benchmark matrix and return the JSON-ready document."""
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
     sizes = list(sizes if sizes is not None else DEFAULT_SIZES)
     backends = list(backends if backends is not None else kernels.available_backends())
     say = progress or (lambda message: None)
@@ -335,9 +335,7 @@ def run_bench(
                 )
 
     say("serve request latency (cold vs warm)")
-    # Warm hits are sub-millisecond; extra repeats are free and make the
-    # best-of robust against scheduler noise.
-    serve_request_latency = _serve_request_latency(max(repeats, 5))
+    serve_request_latency = _serve_request_latency()
 
     say("serve shed latency (overload, admission on/off)")
     serve_shed_latency = _serve_shed_latency()
@@ -382,7 +380,6 @@ def run_bench(
         "cpu_count": os.cpu_count(),
         "workload": {"kind": "random", "seed": _SEED},
         "sizes": sizes,
-        "repeats": repeats,
         "backends": backends,
         "round_throughput": round_throughput,
         "batch_round_throughput": batch_round_throughput,

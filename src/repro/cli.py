@@ -190,9 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="path of the JSON report (default: BENCH_micro.json)")
     bench.add_argument("--quick", action="store_true",
                        help="small sizes only (CI-friendly)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="recorded repeat count; warm serve requests "
-                            "take the best of max(repeats, 5)")
     bench.add_argument("--sizes", type=int, nargs="+", default=None,
                        metavar="N", help="override the team sizes to measure")
 
@@ -723,13 +720,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .bench import QUICK_SIZES, run_bench, write_bench
 
-    if args.repeats < 1:
-        print("error: --repeats must be >= 1", file=sys.stderr)
-        return 2
     sizes = args.sizes if args.sizes else (QUICK_SIZES if args.quick else None)
     document = run_bench(
         sizes=sizes,
-        repeats=args.repeats,
         progress=lambda message: print(f"  {message}", flush=True),
     )
     write_bench(document, args.output)

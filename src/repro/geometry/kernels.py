@@ -443,7 +443,10 @@ def distance_sums(
     targets: Sequence[Tuple[float, float]],
     points: Sequence[Tuple[float, float]],
 ) -> List[float]:
-    """Sum of distances from each target to the whole multiset."""
+    """Sum of distances from each target to the whole multiset.
+
+    The batch twin of ``repro.geometry.weber._distance_sums``.
+    """
     tx, ty = _as_xy(targets)
     px, py = _as_xy(points)
     d = _np.hypot(px[None, :] - tx[:, None], py[None, :] - ty[:, None])
@@ -487,9 +490,10 @@ def weiszfeld(
 ) -> Tuple[float, float, int]:
     """Vectorized Weiszfeld iteration with the Vardi-Zhang correction.
 
-    Mirrors ``repro.geometry.weber._weiszfeld_step`` driven by the same
-    convergence loop: stop when an iterate moves at most ``eps_solver``.
-    Returns the final iterate and the number of iterations taken.
+    The batch twin of ``repro.geometry.weber._weiszfeld``, with the same
+    signature and the same stopping rule: stop when an iterate moves at
+    most ``eps_solver`` or after ``max_iterations`` steps.  Returns the
+    final iterate and the number of iterations taken.
     """
     px, py = _as_xy(points)
     x, y = start

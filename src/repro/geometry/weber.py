@@ -14,8 +14,15 @@ side-steps this via quasi-regularity.  For validation, baselines and the
 unoccupied-center case of quasi-regularity detection we also provide a
 high-precision numerical solver (:func:`geometric_median`): a Weiszfeld
 iteration with the Vardi–Zhang correction so it converges even when the
-iterate lands on an input point.  Its convergence threshold is orders of
-magnitude below every combinatorial tolerance (see DESIGN.md section 4).
+iterate lands on an input point.  It stops once a step moves at most
+``Tolerance.eps_solver``, orders of magnitude below every combinatorial
+tolerance, or after :data:`MAX_ITERATIONS` steps (see DESIGN.md section 4).
+
+The solver runs one body on both kernel backends.  Its inner loops work
+on ``(x, y)`` float pairs: the pure-Python :func:`_distance_sums` and
+:func:`_weiszfeld` are the reference twins of
+:func:`repro.geometry.kernels.distance_sums` and
+:func:`repro.geometry.kernels.weiszfeld`, with the same signatures.
 
 An **optimality certificate** (:func:`is_weber_point`) checks the exact
 subgradient condition: ``x`` is a Weber point iff the norm of the summed
@@ -42,12 +49,36 @@ __all__ = [
     "geometric_median",
     "linear_weber_interval",
     "WeberResult",
+    "MAX_ITERATIONS",
 ]
+
+#: Weiszfeld step cap of :func:`geometric_median`.  The batched engine's
+#: seeded solves use it too, so both engines stop at the same step.
+MAX_ITERATIONS = 10_000
 
 
 def sum_of_distances(x: Point, points: Iterable[Point]) -> float:
     """``sum_{p in points} |x, p|`` — the Weber objective at ``x``."""
-    return math.fsum(x.distance_to(p) for p in points)
+    hypot = math.hypot
+    xx, xy = x.x, x.y
+    return math.fsum(hypot(xx - p.x, xy - p.y) for p in points)
+
+
+def _distance_sums(
+    targets: Sequence[Tuple[float, float]],
+    points: Sequence[Tuple[float, float]],
+) -> List[float]:
+    """Pure-Python twin of :func:`repro.geometry.kernels.distance_sums`.
+
+    Each sum is :func:`math.fsum`-rounded, exactly like
+    :func:`sum_of_distances`.
+    """
+    hypot = math.hypot
+    fsum = math.fsum
+    return [
+        fsum([hypot(tx - px, ty - py) for px, py in points])
+        for tx, ty in targets
+    ]
 
 
 def unit_vector_sum(
@@ -66,16 +97,20 @@ def unit_vector_sum(
             x.x, x.y, [(p.x, p.y) for p in pts], tol.eps_dist
         )
         return Point(sx, sy), co_located
+    hypot = math.hypot
+    eps = tol.eps_dist
+    xx, xy = x.x, x.y
     sx = 0.0
     sy = 0.0
     co_located = 0
     for p in pts:
-        d = x.distance_to(p)
-        if d <= tol.eps_dist:
+        px, py = p.x, p.y
+        d = hypot(xx - px, xy - py)
+        if d <= eps:
             co_located += 1
             continue
-        sx += (p.x - x.x) / d
-        sy += (p.y - x.y) / d
+        sx += (px - xx) / d
+        sy += (py - xy) / d
     return Point(sx, sy), co_located
 
 
@@ -148,45 +183,75 @@ def _record_solver(
         _obs.metrics.inc("weber.uncertified")
 
 
-def _weiszfeld_step(x: Point, pts: Sequence[Point], singular_eps: float) -> Point:
-    """One Vardi–Zhang-corrected Weiszfeld step from ``x``."""
-    wx = 0.0
-    wy = 0.0
-    wsum = 0.0
-    at_x = 0
-    rx = 0.0
-    ry = 0.0
-    for p in pts:
-        d = x.distance_to(p)
-        if d <= singular_eps:
-            at_x += 1
-            continue
-        w = 1.0 / d
-        wx += p.x * w
-        wy += p.y * w
-        wsum += w
-        rx += (p.x - x.x) * w
-        ry += (p.y - x.y) * w
-    if wsum == 0.0:
-        # Every point sits at x: x is trivially optimal.
-        return x
-    t = Point(wx / wsum, wy / wsum)
-    if at_x == 0:
-        return t
-    # Vardi–Zhang: when the iterate coincides with input point(s), pull
-    # the plain Weiszfeld target back towards x according to the ratio of
-    # the co-located mass to the residual pull.
-    r_norm = math.hypot(rx, ry)
-    if r_norm == 0.0:
-        return x
-    beta = min(1.0, at_x / r_norm)
-    return Point(x.x + (1.0 - beta) * (t.x - x.x), x.y + (1.0 - beta) * (t.y - x.y))
+def _weiszfeld(
+    points: Sequence[Tuple[float, float]],
+    start: Tuple[float, float],
+    eps_solver: float,
+    max_iterations: int,
+) -> Tuple[float, float, int]:
+    """Weiszfeld iteration with the Vardi–Zhang correction.
+
+    The pure-Python twin of :func:`repro.geometry.kernels.weiszfeld`:
+    step from ``start`` until an iterate moves at most ``eps_solver`` or
+    ``max_iterations`` steps are taken.  Returns the final iterate and
+    the number of steps.  Sums are plain left-to-right float additions
+    in input order.
+    """
+    hypot = math.hypot
+    x, y = start
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        wx = 0.0
+        wy = 0.0
+        wsum = 0.0
+        at_x = 0
+        for px, py in points:
+            d = hypot(x - px, y - py)
+            if d <= eps_solver:
+                at_x += 1
+                continue
+            w = 1.0 / d
+            wx += px * w
+            wy += py * w
+            wsum += w
+        if wsum == 0.0:
+            # Every point sits at the iterate: it is trivially optimal.
+            break
+        nx = wx / wsum
+        ny = wy / wsum
+        if at_x:
+            # Vardi–Zhang: the iterate coincides with input point(s), so
+            # pull the plain Weiszfeld target back towards it according
+            # to the ratio of the co-located mass to the residual pull.
+            # Iterates almost never land here, so the pull is summed in
+            # a second pass rather than on every step; the same terms in
+            # the same order give the same floats.
+            rx = 0.0
+            ry = 0.0
+            for px, py in points:
+                d = hypot(x - px, y - py)
+                if d <= eps_solver:
+                    continue
+                w = 1.0 / d
+                rx += (px - x) * w
+                ry += (py - y) * w
+            r_norm = hypot(rx, ry)
+            if r_norm == 0.0:
+                break
+            beta = min(1.0, at_x / r_norm)
+            nx = x + (1.0 - beta) * (nx - x)
+            ny = y + (1.0 - beta) * (ny - y)
+        moved = hypot(nx - x, ny - y)
+        x, y = nx, ny
+        if moved <= eps_solver:
+            break
+    return x, y, iterations
 
 
 def geometric_median(
     points: Iterable[Point],
     tol: Tolerance = DEFAULT_TOLERANCE,
-    max_iterations: int = 10_000,
+    max_iterations: int = MAX_ITERATIONS,
     start: Optional[Point] = None,
 ) -> WeberResult:
     """High-precision numerical Weber point (Weiszfeld + Vardi–Zhang).
@@ -211,41 +276,26 @@ def geometric_median(
         mid = (lo + hi) / 2.0
         return WeberResult(mid, 0, True, sum_of_distances(mid, pts))
 
+    if kernels.enabled_for(len(pts)):
+        distance_sums, weiszfeld = kernels.distance_sums, kernels.weiszfeld
+    else:
+        distance_sums, weiszfeld = _distance_sums, _weiszfeld
+    coords = [(p.x, p.y) for p in pts]
+
     # Check input points first: if one of them is optimal, return it
     # exactly (bitwise) — important because the algorithm then sends
     # robots to an *occupied* location, creating exact multiplicities.
-    if kernels.enabled_for(len(pts)):
-        coords = [(p.x, p.y) for p in pts]
-        sums = kernels.distance_sums(coords, coords)
-        bi = min(range(len(pts)), key=sums.__getitem__)
-        best_input = pts[bi]
-        if is_weber_point(best_input, pts, tol):
-            return WeberResult(best_input, 0, True, sums[bi])
-        x0 = start if start is not None else _initial_guess(pts)
-        bx, by, iterations = kernels.weiszfeld(
-            coords, (x0.x, x0.y), tol.eps_solver, max_iterations
-        )
-        x = Point(bx, by)
-        certified = is_weber_point(x, pts, tol)
-        if _obs.state.enabled:
-            _record_solver(iterations, x, pts, tol, certified)
-        return WeberResult(x, iterations, certified, sum_of_distances(x, pts))
-
-    best_input = min(pts, key=lambda p: sum_of_distances(p, pts))
+    sums = distance_sums(coords, coords)
+    bi = min(range(len(pts)), key=sums.__getitem__)
+    best_input = pts[bi]
     if is_weber_point(best_input, pts, tol):
-        return WeberResult(
-            best_input, 0, True, sum_of_distances(best_input, pts)
-        )
+        return WeberResult(best_input, 0, True, sums[bi])
 
-    x = start if start is not None else _initial_guess(pts)
-    singular = tol.eps_solver
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        nxt = _weiszfeld_step(x, pts, singular)
-        if nxt.distance_to(x) <= tol.eps_solver:
-            x = nxt
-            break
-        x = nxt
+    x0 = start if start is not None else _initial_guess(pts)
+    bx, by, iterations = weiszfeld(
+        coords, (x0.x, x0.y), tol.eps_solver, max_iterations
+    )
+    x = Point(bx, by)
     certified = is_weber_point(x, pts, tol)
     if _obs.state.enabled:
         _record_solver(iterations, x, pts, tol, certified)

@@ -46,7 +46,7 @@ from ..core.successor import MAX_ANGULAR_RESOLUTION
 from ..core.views import _polar_view
 from ..geometry import DEFAULT_TOLERANCE, Point, Tolerance, kernels
 from ..geometry.predicates import all_collinear
-from ..geometry.weber import _initial_guess, is_weber_point
+from ..geometry.weber import MAX_ITERATIONS, _initial_guess, is_weber_point
 from .. import obs as _obs
 from .engine import Simulation, SimulationResult
 from .faults import CrashAdversary
@@ -211,7 +211,7 @@ class BatchedSimulation:
             [coords for _, coords in pending],
             starts,
             self.tol.eps_solver,
-            10_000,
+            MAX_ITERATIONS,
         )
         for (config, _), (x, y, _its) in zip(pending, solved):
             point = Point(x, y)

@@ -838,7 +838,7 @@ class Simulation:
             live_ids=tuple(self.live_ids()),
             crashed_ids=tuple(self.crashed_ids()),
             gathering_point=spot,
-            total_distance=sum(r.distance_travelled for r in self.robots),
+            total_distance=math.fsum(r.distance_travelled for r in self.robots),
             trace=self.trace,
             initial_class=classes_seen[0] if classes_seen else classify(self.configuration()),
             classes_seen=tuple(classes_seen),

@@ -65,7 +65,7 @@ def summarize_runs(results: Sequence[SimulationResult]) -> RunSummary:
         mean_rounds_gathered=(sum(rounds) / len(rounds)) if rounds else math.nan,
         max_rounds_gathered=max(rounds) if rounds else None,
         mean_distance=(
-            sum(r.total_distance for r in gathered) / len(gathered)
+            math.fsum(r.total_distance for r in gathered) / len(gathered)
             if gathered
             else math.nan
         ),

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.geometry import Point, Tolerance, kernels
-from repro.geometry.weber import _weiszfeld_step, sum_of_distances
+from repro.geometry.weber import _weiszfeld, sum_of_distances
 
 NUMPY_AVAILABLE = "numpy" in kernels.available_backends()
 
@@ -141,19 +141,12 @@ class TestWeiszfeld:
     def test_matches_scalar_iteration(self, seed):
         tol = Tolerance()
         coords = random_coords(25, seed=seed)
-        pts = [Point(x, y) for x, y in coords]
         start = (0.1, 0.2)
         bx, by, _ = kernels.weiszfeld(coords, start, tol.eps_solver, 10_000)
-        x = Point(*start)
-        for _ in range(10_000):
-            nxt = _weiszfeld_step(x, pts, tol.eps_solver)
-            moved = nxt.distance_to(x)
-            x = nxt
-            if moved <= tol.eps_solver:
-                break
+        x, y, _ = _weiszfeld(coords, start, tol.eps_solver, 10_000)
         # Both converge to the same minimizer well below every
         # combinatorial tolerance.
-        assert math.hypot(bx - x.x, by - x.y) < 1e-8
+        assert math.hypot(bx - x, by - y) < 1e-8
 
     def test_optimal_objective(self):
         tol = Tolerance()

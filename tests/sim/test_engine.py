@@ -1,9 +1,12 @@
 """Unit tests for the ATOM round engine."""
 
+import math
+
 import pytest
 
 from repro.algorithms import CentroidConvergence, SequentialGather, WaitFreeGather
 from repro.core import ConfigClass
+from repro.experiments.runner import Scenario, build_simulation
 from repro.geometry import Point
 from repro.sim import (
     CrashAtRounds,
@@ -156,6 +159,20 @@ class TestVerdicts:
     def test_total_distance_positive_when_moving(self):
         result = Simulation(WaitFreeGather(), ASYM, seed=1).run()
         assert result.total_distance > 0.0
+
+    def test_total_distance_is_exactly_rounded(self):
+        # Builtin sum() adds naively before Python 3.12 and compensates
+        # from 3.12 on; math.fsum gives one answer everywhere.  In this
+        # run the naive sum is one ulp off the exactly rounded one.
+        scenario = Scenario(
+            workload="asymmetric", n=8, f=1, scheduler="fsync",
+            crashes="random", movement="random-stop",
+        )
+        sim = build_simulation(scenario, 1701674402)
+        result = sim.run()
+        assert result.total_distance == math.fsum(
+            r.distance_travelled for r in sim.robots
+        )
 
 
 class TestTrace:

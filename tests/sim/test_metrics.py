@@ -1,5 +1,6 @@
 """Unit tests for run metrics and batch summaries."""
 
+import dataclasses
 import math
 import random
 
@@ -59,6 +60,16 @@ class TestSummaries:
         summary = summarize_runs(self._results())
         assert summary.mean_rounds_gathered > 0
         assert summary.max_rounds_gathered >= summary.mean_rounds_gathered / 2
+
+    def test_mean_distance_is_exactly_rounded(self):
+        # Naive left-to-right addition gives 0.6000000000000001 here.
+        base = self._results()[0]
+        results = [
+            dataclasses.replace(base, total_distance=d) for d in (0.1, 0.2, 0.3)
+        ]
+        assert summarize_runs(results).mean_distance == math.fsum(
+            (0.1, 0.2, 0.3)
+        ) / 3
 
     def test_empty_batch(self):
         summary = summarize_runs([])

@@ -17,14 +17,14 @@ from repro.geometry import kernels
 
 class TestBenchDocument:
     def test_schema_and_sections(self, tmp_path):
-        document = run_bench(sizes=[8], repeats=1)
+        document = run_bench(sizes=[8])
         assert document["schema"] == SCHEMA
         assert document["sizes"] == [8]
         # Only the sections a published number is read from.
         assert set(document) == {
             "schema", "generated_at", "python_version", "numpy_version",
-            "platform", "cpu_count", "workload", "sizes", "repeats",
-            "backends", "round_throughput", "batch_round_throughput",
+            "platform", "cpu_count", "workload", "sizes", "backends",
+            "round_throughput", "batch_round_throughput",
             "serve_request_latency", "serve_shed_latency", "speedups",
         }
         assert document["cpu_count"] == os.cpu_count()
@@ -67,7 +67,7 @@ class TestBenchDocument:
                 write_bench({"schema": SCHEMA}, str(path))
 
     def test_speedups_present_when_numpy_available(self):
-        document = run_bench(sizes=[16], repeats=1)
+        document = run_bench(sizes=[16])
         if "numpy" in kernels.available_backends():
             by_metric = {
                 entry["metric"]: entry for entry in document["speedups"]
