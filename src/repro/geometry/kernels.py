@@ -14,8 +14,11 @@ a process-wide backend switch:
   original pure-Python code.  That code is the **reference backend**: it
   is the semantics, the NumPy kernels merely have to match it.
 * ``REPRO_BACKEND=numpy`` — call sites route their inner loops through
-  the kernels below.  NumPy remains an optional dependency: when the
-  import fails the switch silently falls back to ``python``.
+  the kernels below.  NumPy remains an optional dependency, imported
+  only when the numpy backend is selected (or a kernel or the batched
+  engine is first used): a python-backend process never loads it.  When
+  the import fails the switch falls back to ``python`` with a one-time
+  ``RuntimeWarning``.
 
 Equivalence contract
 --------------------
@@ -35,6 +38,7 @@ tolerance-quantized pipeline.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
 import os
 import time
@@ -51,6 +55,7 @@ __all__ = [
     "set_backend",
     "backend",
     "numpy_enabled",
+    "numpy_module",
     "enabled_for",
     "near_pairs",
     "batch_polar_views",
@@ -64,13 +69,28 @@ __all__ = [
     "batched_weiszfeld",
 ]
 
-# NumPy is optional; the pure-Python backend needs nothing.  Only a
-# *missing* NumPy is tolerated — a present-but-broken install raising
-# e.g. SystemError must surface, not masquerade as "not installed".
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+#: The ``numpy`` module once :func:`numpy_module` has imported it.  NumPy
+#: is optional, and a python-backend process never loads it.
+_np = None
+
+
+def numpy_module():
+    """Import NumPy on first use; ``None`` when it is not installed.
+
+    Selecting the numpy backend, building a batched engine and calling a
+    kernel all come through here.  Only a *missing* NumPy is tolerated —
+    a present-but-broken install raising e.g. SystemError must surface,
+    not masquerade as "not installed".
+    """
+    global _np
+    if _np is None:
+        try:
+            import numpy
+        except ImportError:
+            return None
+        _np = numpy
+    return _np
+
 
 #: Recognized backend names.
 BACKENDS = ("python", "numpy")
@@ -106,7 +126,7 @@ def _resolve(name: str) -> str:
         raise ValueError(
             f"unknown REPRO_BACKEND {name!r}; expected one of {BACKENDS}"
         )
-    if name == "numpy" and _np is None:
+    if name == "numpy" and numpy_module() is None:
         if not _fallback_warned:
             _fallback_warned = True
             warnings.warn(
@@ -123,8 +143,11 @@ _backend: str = _resolve(os.environ.get("REPRO_BACKEND", "python"))
 
 
 def available_backends() -> Tuple[str, ...]:
-    """Backends usable in this process (``numpy`` only when importable)."""
-    return BACKENDS if _np is not None else ("python",)
+    """Backends usable in this process (``numpy`` only when installed).
+
+    Answers without importing NumPy.
+    """
+    return BACKENDS if importlib.util.find_spec("numpy") else ("python",)
 
 
 def get_backend() -> str:
@@ -167,8 +190,10 @@ def enabled_for(n: int) -> bool:
 def _timed(fn):
     """Per-kernel observability: call count + wall time + backend label.
 
-    With observability disabled (the default) the wrapper is one
-    attribute read and a tail call — no timer, no allocation.  Enabled,
+    The first kernel call imports NumPy, so a kernel called directly
+    (tests, benches) needs no backend switch first.  With observability
+    disabled (the default) the wrapper is then two reads and a tail
+    call — no timer, no allocation.  Enabled,
     each call is timed with ``perf_counter`` and recorded under the
     kernel's name and the active backend, feeding ``repro profile``,
     the ``kernel_seconds`` latency histogram, any registered
@@ -180,6 +205,8 @@ def _timed(fn):
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
+        if _np is None:
+            numpy_module()
         if not _obs.state.enabled:
             return fn(*args, **kwargs)
         start = time.perf_counter()

@@ -79,6 +79,7 @@ from ..resilience import (
     SeedTimeoutError,
     ServerDrainingError,
     ServerOverloadedError,
+    TraceFormatError,
     WorkerCrashError,
 )
 from . import protocol
@@ -705,6 +706,14 @@ class _Handler(BaseHTTPRequestHandler):
     server_version = f"repro-serve/{__version__}"
     # HTTP/1.1 for chunked sweep streams and keep-alive clients.
     protocol_version = "HTTP/1.1"
+    # One write per response: with Nagle's algorithm on, a body written
+    # after its headers waits for the client's delayed ACK (~40 ms on
+    # every keep-alive request).  So the socket is TCP_NODELAY and wfile
+    # is buffered.  Each response, sweep chunk and interim 100 Continue
+    # is flushed once complete; the stdlib's own error responses are
+    # flushed by handle_one_request or finish().
+    disable_nagle_algorithm = True
+    wbufsize = -1
 
     # Per-request bookkeeping; class-level defaults cover the stdlib
     # code paths (malformed request lines) that fire before any do_*
@@ -790,15 +799,29 @@ class _Handler(BaseHTTPRequestHandler):
         self._status = code
         super().send_response(code, message)
 
+    def handle_expect_100(self) -> bool:
+        # The client holds its body back until 100 Continue arrives, so
+        # the interim response cannot wait in the buffer for the final one.
+        accepted = super().handle_expect_100()
+        self.wfile.flush()
+        return accepted
+
     # -- plumbing ----------------------------------------------------------
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw = self.headers.get("Content-Length") or "0"
+        if not (raw.isascii() and raw.isdigit()):
+            # int() would accept "-1" (read until the client leaves,
+            # holding the admission slot) or raise a bare ValueError.
+            raise TraceFormatError(
+                f"invalid Content-Length {raw!r}: expected a "
+                "non-negative integer",
+                path="<request>",
+            )
+        length = int(raw)
         if length > protocol.MAX_BODY_BYTES:
             # Refuse before reading: don't buffer an oversized body
             # just to reject it.
-            from ..resilience import TraceFormatError
-
             raise TraceFormatError(
                 f"request body of {length} bytes exceeds the "
                 f"{protocol.MAX_BODY_BYTES}-byte limit",
@@ -837,6 +860,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
+        self.wfile.flush()
 
     def _send_error_json(self, endpoint: str, exc: BaseException) -> None:
         status = self.server.app.observe_error(endpoint, exc)
@@ -853,12 +877,16 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _write_chunk(self, data: bytes) -> None:
+        # Size line, data and CRLF leave in one send, right away: the
+        # stream stays live chunk by chunk.
         self.wfile.write(f"{len(data):x}\r\n".encode("ascii"))
         self.wfile.write(data)
         self.wfile.write(b"\r\n")
+        self.wfile.flush()
 
     def _end_chunks(self) -> None:
         self.wfile.write(b"0\r\n\r\n")
+        self.wfile.flush()
 
     # -- endpoints ---------------------------------------------------------
 
@@ -1062,6 +1090,8 @@ class _Handler(BaseHTTPRequestHandler):
         if self._rid is not None:
             self.send_header(REQUEST_ID_HEADER, self._rid)
         self.end_headers()
+        # The status line goes out before the first block computes.
+        self.wfile.flush()
         verdicts: dict = {}
         hits = misses = 0
         try:

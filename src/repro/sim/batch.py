@@ -115,7 +115,7 @@ class BatchedSimulation:
         max_rounds: int = 50_000,
         halt_on_bivalent: bool = True,
     ) -> None:
-        if kernels._np is None:
+        if kernels.numpy_module() is None:
             raise RuntimeError(
                 "the batched engine requires NumPy; use the scalar engine "
                 "when it is not installed"

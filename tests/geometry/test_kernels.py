@@ -10,6 +10,8 @@ cannot ship unnoticed.
 import math
 import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -69,6 +71,33 @@ class TestBackendSwitch:
     def test_python_backend_never_enabled(self):
         with kernels.backend("python"):
             assert not kernels.enabled_for(10_000)
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_numpy_imported_only_for_numpy_backend(self, backend):
+        # The CLI, the daemon and its forked pool workers must not carry
+        # NumPy on the python backend.  The variable is set in the child
+        # because the suite itself may run under REPRO_BACKEND=numpy.
+        if backend == "numpy" and not NUMPY_AVAILABLE:
+            pytest.skip("NumPy not importable in this environment")
+        code = (
+            "import sys\n"
+            "import repro.cli, repro.serve.server, repro.experiments.runner\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        env = dict(os.environ, REPRO_BACKEND=backend)
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src) + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str(backend == "numpy")
 
 
 @needs_numpy

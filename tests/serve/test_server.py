@@ -6,10 +6,15 @@ recorded counters, ``--no-cache`` and per-request opt-out recompute,
 the sweep stream is deterministic and shares cache entries with
 ``/run``, failures arrive as structured taxonomy-mapped JSON, and
 ``/metrics`` exposes per-endpoint latency histograms plus the sweep
-aggregate.
+aggregate.  Kept-alive connections answer without a delayed-ACK stall.
 """
 
 import json
+import socket
+import statistics
+import time
+from contextlib import closing
+from http.client import HTTPConnection, parse_headers
 
 from repro.resilience import RunPolicy
 
@@ -195,3 +200,79 @@ class TestSharedDiskStore:
             _, headers, warm = client.run(SCENARIO, seed=5)
             assert headers["X-Repro-Cache"] == "hit"
             assert warm == cold
+
+
+class TestKeepAlive:
+    """Several requests over one connection.  A response written as
+    headers, then body, on a Nagle socket waits about 40 ms for the
+    client's delayed ACK before its body leaves."""
+
+    HEADERS = {"Content-Type": "application/json"}
+
+    def test_hits_are_byte_identical_and_fast(self):
+        body = json.dumps({"scenario": SCENARIO, "seed": 3}).encode()
+        with serving() as client, closing(
+            HTTPConnection(client.host, client.port, timeout=60)
+        ) as conn:
+            conn.request("POST", "/run", body=body, headers=self.HEADERS)
+            response = conn.getresponse()
+            miss = response.read()
+            assert response.getheader("X-Repro-Cache") == "miss"
+            sock = conn.sock
+            durations = []
+            for _ in range(20):
+                started = time.perf_counter()
+                conn.request("POST", "/run", body=body, headers=self.HEADERS)
+                response = conn.getresponse()
+                hit = response.read()
+                durations.append(time.perf_counter() - started)
+                assert response.getheader("X-Repro-Cache") == "hit"
+                assert hit == miss
+            assert conn.sock is sock  # never reconnected
+            assert statistics.median(durations) < 0.010, durations
+
+    def test_sweep_then_get(self):
+        body = json.dumps(
+            {"scenario": SCENARIO, "seed_start": 0, "seed_count": 4}
+        ).encode()
+        with serving() as client, closing(
+            HTTPConnection(client.host, client.port, timeout=60)
+        ) as conn:
+            conn.request("POST", "/sweep", body=body, headers=self.HEADERS)
+            response = conn.getresponse()
+            assert response.status == 200
+            lines = response.read().decode().splitlines()
+            assert len(lines) == 5
+            assert json.loads(lines[-1])["kind"] == "sweep_summary"
+            sock = conn.sock
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+            assert conn.sock is sock
+
+    def test_expect_100_continue_precedes_the_body(self):
+        # The client sends its body only once the interim response has
+        # arrived, so 100 Continue must not wait for the final response.
+        body = json.dumps({"scenario": SCENARIO, "seed": 4}).encode()
+        head = (
+            "POST /run HTTP/1.1\r\n"
+            "Host: localhost\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            "Expect: 100-continue\r\n"
+            "\r\n"
+        ).encode("ascii")
+        with serving() as client, socket.create_connection(
+            (client.host, client.port), timeout=5
+        ) as sock, sock.makefile("rb") as reader:
+            sock.sendall(head)
+            assert reader.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert reader.readline() == b"\r\n"
+            sock.settimeout(60)
+            sock.sendall(body)
+            assert reader.readline() == b"HTTP/1.1 200 OK\r\n"
+            headers = parse_headers(reader)
+            payload = json.loads(reader.read(int(headers["Content-Length"])))
+            assert payload["kind"] == "run"
+            assert payload["seed"] == 4

@@ -123,6 +123,10 @@ class TestLoadShedding:
             ("shed", "/run", 429),
             ("draining", "/run", 503),
             ("oversized", "/run", 400),
+            ("length-abc", "/run", 400),
+            ("length-abc", "/sweep", 400),
+            ("length-negative", "/run", 400),
+            ("length-negative", "/sweep", 400),
         ],
     )
     def test_refused_post_keeps_connection_in_sync(
@@ -130,13 +134,19 @@ class TestLoadShedding:
     ):
         # Each refusal answers before the request body is read.  The
         # next request on the same connection must get its own answer,
-        # not one for the leftover body bytes.
+        # not one for the leftover body bytes, and no refused request
+        # may keep its admission slot.
         chaos = ChaosPolicy(seed=1, serve_slow=1.0, serve_slow_s=0.5)
+        lengths = {
+            "oversized": str(MAX_BODY_BYTES + 1),
+            "length-abc": "abc",
+            "length-negative": "-1",
+        }
         with serving(max_inflight=1, chaos=chaos) as client:
             headers = {"Content-Type": "application/json"}
             blocker = None
-            if refusal == "oversized":
-                headers["Content-Length"] = str(MAX_BODY_BYTES + 1)
+            if refusal in lengths:
+                headers["Content-Length"] = lengths[refusal]
             elif refusal == "draining":
                 client.server._draining = True
             elif refusal == "shed":
@@ -159,6 +169,7 @@ class TestLoadShedding:
                 conn.close()
                 if blocker is not None:
                     blocker.join()
+            assert client.server.admission.inflight == 0
 
 
 class TestReadiness:

@@ -6,6 +6,8 @@ the engine's own contract: constructor validation, determinism, chunk
 invariance at the runner level, and the trace restriction.
 """
 
+import sys
+
 import pytest
 
 from repro.algorithms import WaitFreeGather
@@ -55,6 +57,7 @@ class TestConstruction:
 
     def test_numpy_required(self, monkeypatch):
         monkeypatch.setattr(kernels, "_np", None)
+        monkeypatch.setitem(sys.modules, "numpy", None)  # import fails
         with pytest.raises(RuntimeError, match="NumPy"):
             BatchedSimulation(_algorithms(1), _positions(1))
 

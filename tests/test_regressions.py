@@ -328,12 +328,14 @@ class TestNumpyFallbackIsLoudAndNarrow:
     degradation warns once instead of never."""
 
     def test_missing_numpy_warns_once_and_degrades(self, monkeypatch):
+        import sys
         import warnings
 
         from repro.geometry import kernels
 
         original = kernels.get_backend()
         monkeypatch.setattr(kernels, "_np", None)
+        monkeypatch.setitem(sys.modules, "numpy", None)  # import fails
         monkeypatch.setattr(kernels, "_fallback_warned", False)
         try:
             with warnings.catch_warnings(record=True) as caught:
