@@ -1168,48 +1168,49 @@ def _cmd_log_stats(path: str, meta: dict, records: List[dict]) -> int:
     return 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    from .obs import RoundEvent, read_events, read_log, read_spans
+def _read_input(path: str, command: str, schemas: Tuple[str, ...]):
+    """Read ``path``'s header once: its telemetry stream when the tag is
+    one of ``schemas``, or ``None`` for a trace archive (no JSONL
+    header, or a one-line ``repro-trace-v2``).  Any other tag is
+    refused in one line naming it and what ``command`` reads."""
+    from .obs import ForeignHeaderError, read_stream
+    from .sim.trace import SCHEMA_V2
 
-    # A repro-log-v1 structured log gets its own summary (levels,
-    # events, warn-once keys) — it carries no round events.
     try:
-        log_meta, log_records = read_log(args.input)
-    except (ValueError, OSError):
-        pass
+        stream = read_stream(path)
+    except OSError as exc:
+        raise TraceFormatError(
+            f"{path}: cannot read: {exc}", path=path
+        ) from exc
+    except ForeignHeaderError as exc:
+        if exc.tag in (None, SCHEMA_V2):
+            return None
+        tag = exc.tag
     else:
-        return _cmd_log_stats(args.input, log_meta, log_records)
+        if stream.schema in schemas:
+            return stream
+        tag = stream.schema
+    raise TraceFormatError(
+        f"{path}: is a {tag} file; repro {command} reads "
+        f"{', '.join(schemas)} streams and {SCHEMA_V2} archives",
+        path=path,
+        line=1,
+    )
 
-    # An obs JSONL stream identifies itself by its header line; anything
-    # else must parse as a trace archive, whose records the same events
-    # are derived from.
-    try:
-        meta, events, run_ends = read_events(args.input)
-        source = "obs event stream"
-    except TraceFormatError:
-        # A real obs stream with a corrupted payload: report it as such
-        # rather than re-parsing the file as a trace archive and blaming
-        # the wrong format.
-        raise
-    except ValueError:
-        try:
-            _, spans = read_spans(args.input)
-        except TraceFormatError:
-            # A real spans stream with a corrupted line: blame the
-            # spans format, not the trace parse that would follow.
-            raise
-        except ValueError:
-            pass
-        else:
-            # A valid spans file handed to the wrong command: one
-            # structured line pointing at the right one, not a trace-
-            # parse failure blaming the wrong format.
-            raise TraceFormatError(
-                f"{args.input}: is a repro-spans-v1 span stream "
-                f"({len(spans)} spans), which carries no round events; "
-                f"convert it with 'repro trace-export' instead",
-                path=args.input,
-            )
+
+def _cmd_stats(args: argparse.Namespace) -> int:
+    from .obs import (
+        LOG_SCHEMA,
+        OBS_SCHEMA,
+        SPANS_SCHEMA,
+        RoundEvent,
+        round_events,
+    )
+
+    stream = _read_input(
+        args.input, "stats", (LOG_SCHEMA, OBS_SCHEMA, SPANS_SCHEMA)
+    )
+    if stream is None:
         from .sim.replay import load_trace
 
         trace = load_trace(args.input)
@@ -1221,6 +1222,23 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         meta = trace.meta.to_dict() if trace.meta else None
         run_ends = []
         source = "trace archive"
+    elif stream.schema == LOG_SCHEMA:
+        # A structured log gets its own summary (levels, events,
+        # warn-once keys) — it carries no round events.
+        return _cmd_log_stats(args.input, stream.meta, stream.records)
+    elif stream.schema == SPANS_SCHEMA:
+        # A spans file handed to the wrong command: one structured line
+        # pointing at the right one.
+        raise TraceFormatError(
+            f"{args.input}: is a {stream.schema} span stream "
+            f"({len(stream.records)} spans), which carries no round "
+            f"events; convert it with 'repro trace-export' instead",
+            path=args.input,
+        )
+    else:
+        events, run_ends = round_events(stream)
+        meta = stream.meta
+        source = "obs event stream"
 
     print(f"{args.input}: {source}, {len(events)} round events")
     if meta:
@@ -1318,48 +1336,15 @@ def _export_one_input(path: str, pid: int) -> Tuple[List[dict], str]:
     ``pid`` labels this input's track group, so multiple inputs merged
     into one file stay visually separate in Perfetto.
     """
-    from .obs import chrome_trace_events, read_events, read_spans
+    from .obs import (
+        OBS_SCHEMA,
+        SPANS_SCHEMA,
+        chrome_trace_events,
+        round_events,
+    )
 
-    try:
-        meta, spans = read_spans(path)
-    except TraceFormatError:
-        raise
-    except ValueError:
-        spans = None
-
-    if spans is not None:
-        label = os.path.basename(path)
-        meta_block = meta or {}
-        scenario = meta_block.get("scenario") or {}
-        if scenario:
-            label = (
-                f"{scenario.get('workload', '?')} n={scenario.get('n', '?')} "
-                f"seed={meta_block.get('seed')}"
-            )
-        elif meta_block.get("source"):
-            label = str(meta_block["source"])
-        events = chrome_trace_events(spans, pid=pid, process_name=label)
-        return events, f"span stream ({len(spans)} spans)"
-
-    # Not a spans file: an obs event stream or a trace archive, both
-    # exported on the synthetic per-round timeline.
-    try:
-        _, round_events, _ = read_events(path)
-        rows = [
-            {
-                "round": e.round_index,
-                "config_class": e.config_class,
-                "moved": len(e.moved),
-                "crashed": len(e.crashed),
-                "support": e.support,
-                "spread": e.spread,
-            }
-            for e in round_events
-        ]
-        kind = f"obs event stream ({len(rows)} rounds)"
-    except TraceFormatError:
-        raise
-    except ValueError:
+    stream = _read_input(path, "trace-export", (SPANS_SCHEMA, OBS_SCHEMA))
+    if stream is None:
         from .sim.replay import load_trace
 
         trace = load_trace(path)
@@ -1374,6 +1359,41 @@ def _export_one_input(path: str, pid: int) -> Tuple[List[dict], str]:
             for record in trace.records
         ]
         kind = f"trace archive ({len(rows)} rounds)"
+    elif stream.schema == SPANS_SCHEMA:
+        label = os.path.basename(path)
+        meta_block = stream.meta or {}
+        scenario = meta_block.get("scenario") or {}
+        if scenario:
+            label = (
+                f"{scenario.get('workload', '?')} n={scenario.get('n', '?')} "
+                f"seed={meta_block.get('seed')}"
+            )
+        elif meta_block.get("source"):
+            label = str(meta_block["source"])
+        try:
+            events = chrome_trace_events(
+                stream.records, pid=pid, process_name=label
+            )
+        except (KeyError, TypeError) as exc:
+            raise TraceFormatError(
+                f"{path}: malformed span record ({type(exc).__name__}: "
+                f"{exc})",
+                path=path,
+            ) from exc
+        return events, f"span stream ({len(stream.records)} spans)"
+    else:
+        rows = [
+            {
+                "round": e.round_index,
+                "config_class": e.config_class,
+                "moved": len(e.moved),
+                "crashed": len(e.crashed),
+                "support": e.support,
+                "spread": e.spread,
+            }
+            for e in round_events(stream)[0]
+        ]
+        kind = f"obs event stream ({len(rows)} rounds)"
     return _synthetic_round_events(rows, pid, os.path.basename(path)), kind
 
 

@@ -5,8 +5,8 @@ A single process-wide toggle gates the whole subsystem.  When **off**
 guard on one attribute read (``state.enabled``), so the simulation hot
 loop pays a few nanoseconds per round and the kernels one branch per
 call.  When **on** (``REPRO_OBS=1`` in the environment, ``--obs`` on the
-CLI, or :func:`enable` / :func:`observability` in code) three signal
-streams light up:
+CLI, or :func:`enable` / :func:`observability` in code) these signals
+light up:
 
 events
     Both engines emit one :class:`~repro.obs.events.RoundEvent` per
@@ -25,19 +25,23 @@ metrics
 
 hooks
     :func:`~repro.obs.hooks.on_round` / ``on_kernel`` / ``on_run_end``
-    registration (:mod:`repro.obs.hooks`), plus a JSONL sink
-    (:class:`~repro.obs.sink.JsonlSink`) whose header carries the same
-    meta block as a ``repro-trace-v2`` archive, so an event stream can
-    be joined to its trace by seed and scenario.
+    registration (:mod:`repro.obs.hooks`); a hook that raises is warned
+    about once and removed.
 
 spans
     A span tracer (:mod:`repro.obs.spans`): run -> round -> phase
     (look/compute/move) -> kernel time ranges with explicit
-    parent/child ids and monotonic timestamps, kept in a bounded ring
-    and optionally streamed as ``repro-spans-v1`` JSONL.  ``repro
-    trace-export`` converts any of it to the Chrome trace-event format
-    for Perfetto.  Tracing rides the same enabled guard (veto with
-    ``REPRO_SPANS=0``).
+    parent/child ids and monotonic timestamps, kept in a bounded ring.
+    Tracing rides the same enabled guard (veto with ``REPRO_SPANS=0``).
+
+streams
+    One telemetry JSONL writer and one reader (:mod:`repro.obs.sink`)
+    for three schemas: ``repro-obs-v1`` round events, ``repro-spans-v1``
+    spans and ``repro-log-v1`` structured log records
+    (:mod:`repro.obs.log`).  The events and spans header carries the
+    same meta block as a ``repro-trace-v2`` archive, so a stream joins
+    to its trace by seed and scenario.  ``repro stats`` and ``repro
+    trace-export`` read the header tag and dispatch on it.
 
 For sweep-scale runs, :mod:`repro.obs.aggregate` ships each worker's
 registry snapshot and span tail home inside the per-seed result payload
@@ -45,8 +49,12 @@ and merges them — counters, stats, kernel timers and the fixed-bucket
 histograms of :mod:`repro.obs.histogram` — into one ``sweep-metrics``
 document; :mod:`repro.obs.dashboard` renders the merge live.
 
-Layering: this package imports nothing from the rest of ``repro``, so
-the engines, kernels and runner can all import it without cycles.
+Layering: from the rest of ``repro`` this package imports only
+``repro.resilience`` (the error taxonomy and the crash-safe file
+helpers the stream writer and the sweep aggregate use), which in turn
+imports nothing from ``repro.obs`` at import time — the pool reaches
+the log hub through a deferred import.  So the engines, kernels and
+runner can all import ``repro.obs`` without cycles.
 ``RoundEvent.from_record`` defers its ``repro.core`` / ``repro.sim``
 imports to call time for the same reason.
 
@@ -88,22 +96,26 @@ from .hooks import (
 )
 from .log import (
     LOG_SCHEMA,
-    LogJsonlSink,
     StructuredLogger,
     get_logger,
-    read_log,
     summarize_log,
 )
 from .log import hub as log_hub
 from .metrics import Metrics, metrics
-from .sink import Collector, JsonlSink, read_events
+from .sink import (
+    Collector,
+    ForeignHeaderError,
+    JsonlStream,
+    Stream,
+    read_events,
+    read_stream,
+    round_events,
+)
 from .spans import (
     SPANS_SCHEMA,
     Span,
-    SpanJsonlSink,
     Tracer,
     chrome_trace_events,
-    read_spans,
     tracer,
 )
 
@@ -113,10 +125,8 @@ __all__ = [
     "SWEEP_METRICS_SCHEMA",
     "LOG_SCHEMA",
     "StructuredLogger",
-    "LogJsonlSink",
     "get_logger",
     "log_hub",
-    "read_log",
     "summarize_log",
     "Aggregator",
     "SweepDashboard",
@@ -126,13 +136,15 @@ __all__ = [
     "metrics",
     "Histogram",
     "Collector",
-    "JsonlSink",
+    "JsonlStream",
+    "Stream",
+    "ForeignHeaderError",
+    "read_stream",
+    "round_events",
     "read_events",
     "Span",
     "Tracer",
     "tracer",
-    "SpanJsonlSink",
-    "read_spans",
     "chrome_trace_events",
     "on_round",
     "on_kernel",
@@ -206,21 +218,30 @@ def observability(
 ) -> Iterator[Metrics]:
     """Enable observability for a block, optionally sinking to JSONL.
 
-    Yields the process-wide :data:`metrics` registry.  With ``jsonl``
-    a :class:`JsonlSink` is opened at that path, registered for round
-    events and run-end summaries, and closed on exit; with
-    ``spans_jsonl`` a :class:`SpanJsonlSink` streams every finished
-    span the same way.  ``meta`` (a ``repro-trace-v2`` meta dict)
-    becomes the sinks' join header.  The previous toggle value is
+    Yields the process-wide :data:`metrics` registry.  With ``jsonl`` a
+    ``repro-obs-v1`` :class:`JsonlStream` at that path records every
+    round event and run-end summary; with ``spans_jsonl`` a
+    ``repro-spans-v1`` one records every finished span.  Both are
+    closed (and promoted) on exit.  ``meta`` (a ``repro-trace-v2`` meta
+    dict) becomes their join header.  The previous toggle value is
     restored on exit.
     """
-    sink = JsonlSink(jsonl, meta=meta) if jsonl else None
-    if sink is not None:
-        on_round(sink.write)
-        on_run_end(sink.write_run_end)
-    span_sink = SpanJsonlSink(spans_jsonl, meta=meta) if spans_jsonl else None
-    if span_sink is not None:
-        tracer.add_sink(span_sink.write)
+    hooks = []
+    streams = []
+    if jsonl:
+        events = JsonlStream(jsonl, OBS_SCHEMA, meta)
+        streams.append(events)
+        hooks.append(on_round(lambda event: events.write(event.to_dict())))
+        hooks.append(
+            on_run_end(lambda summary: events.write({"run_end": summary}))
+        )
+    write_span = None
+    if spans_jsonl:
+        spans = JsonlStream(spans_jsonl, SPANS_SCHEMA, meta)
+        streams.append(spans)
+        write_span = tracer.add_sink(
+            lambda span: spans.write(span.to_dict())
+        )
     previous = state.enabled
     enable()
     try:
@@ -228,13 +249,12 @@ def observability(
     finally:
         if not previous:
             disable()
-        if sink is not None:
-            remove_hook(sink.write)
-            remove_hook(sink.write_run_end)
-            sink.close()
-        if span_sink is not None:
-            tracer.remove_sink(span_sink.write)
-            span_sink.close()
+        for hook in hooks:
+            remove_hook(hook)
+        if write_span is not None:
+            tracer.remove_sink(write_span)
+        for stream in streams:
+            stream.close()
 
 
 # -- recording entry points (callers guard on ``state.enabled``) -------------

@@ -26,12 +26,13 @@ not fire (or warn) again.  The warning keeps the failure *visible* (a
 silently corrupted profiling session would be worse than a crash); the
 removal keeps one bad hook from warning once per round for the rest of
 a long sweep.  ``KeyboardInterrupt`` and other ``BaseException``s still
-propagate.
+propagate.  The same loop (:func:`call_each`) serves the span tracer's
+sinks, with one quarantine registry for the whole process.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable, Dict, List
 
 from .events import RoundEvent
 from .log import get_logger
@@ -45,6 +46,7 @@ __all__ = [
     "emit_round",
     "emit_kernel",
     "emit_run_end",
+    "call_each",
 ]
 
 RoundHook = Callable[[RoundEvent], None]
@@ -89,43 +91,53 @@ def clear_hooks() -> None:
     _quarantined.clear()
 
 
-#: ids of hooks that already failed (warn exactly once per hook even if
-#: the same callable is re-registered at several hook points).
-_quarantined: set = set()
+#: The process-wide quarantine registry: id -> every hook or span sink
+#: that raised, so each is warned about once however many hook points,
+#: tracers or requests it was registered with.  Holding the callable
+#: keeps its id from being reused by a new one.
+_quarantined: Dict[int, Callable] = {}
 
 _log = get_logger("repro.obs.hooks")
 
 
-def _dispatch(hooks: List[Callable], hook_point: str, *args) -> None:
-    """Call every hook, quarantining any that raises.
+def call_each(fns: List[Callable], args: tuple, event: str, what: str,
+              remove: Callable[[Callable], None]) -> None:
+    """Call every ``fn(*args)``, quarantining any that raises.
 
-    Iterates over a copy so removal during dispatch is safe; the other
-    hooks of the round still fire after an offender is dropped.
+    The first failure of a callable logs one ``event`` warning naming
+    it (``what`` says what it is) and the exception; every failure
+    unregisters it through ``remove``.  Iterates over a copy, so the
+    rest of ``fns`` still fires after an offender is dropped.
     """
-    for fn in list(hooks):
+    for fn in list(fns):
         try:
             fn(*args)
         except Exception as exc:
             if id(fn) not in _quarantined:
-                _quarantined.add(id(fn))
+                _quarantined[id(fn)] = fn
                 _log.warning(
-                    "hook.quarantined",
-                    f"{hook_point} hook {fn!r} raised "
-                    f"{type(exc).__name__}: {exc}; removing it",
-                    hook_point=hook_point,
-                    hook=repr(fn),
+                    event,
+                    f"{what} {fn!r} raised {type(exc).__name__}: {exc}; "
+                    f"removing it",
+                    callable=repr(fn),
                     error=f"{type(exc).__name__}: {exc}",
                 )
-            remove_hook(fn)
+            remove(fn)
 
 
 def emit_round(event: RoundEvent) -> None:
-    _dispatch(_round_hooks, "on_round", event)
+    if _round_hooks:
+        call_each(_round_hooks, (event,), "hook.quarantined",
+                  "on_round hook", remove_hook)
 
 
 def emit_kernel(name: str, seconds: float, backend: str) -> None:
-    _dispatch(_kernel_hooks, "on_kernel", name, seconds, backend)
+    if _kernel_hooks:
+        call_each(_kernel_hooks, (name, seconds, backend),
+                  "hook.quarantined", "on_kernel hook", remove_hook)
 
 
 def emit_run_end(summary: dict) -> None:
-    _dispatch(_run_end_hooks, "on_run_end", summary)
+    if _run_end_hooks:
+        call_each(_run_end_hooks, (summary,), "hook.quarantined",
+                  "on_run_end hook", remove_hook)

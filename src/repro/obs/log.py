@@ -18,12 +18,16 @@ module gives those sites one structured hub:
 * **rate limiting** — per ``(logger, event)`` token budget per interval;
   suppressed records are counted and surface as one ``log.suppressed``
   notice when the window rolls, so a hot failure path cannot flood disk;
-* **quarantining sinks** — a sink that raises is disabled after one
-  structured complaint, same contract as span/event sinks.
+* **quarantining sinks** — a sink that raises is removed after one
+  complaint on stdlib logging (the hub cannot log through itself).
 
 Records always mirror to the stdlib :mod:`logging` tree (logger name =
 record's ``logger``), so existing handlers, ``caplog``, and operator
-habits keep working; attached JSONL sinks additionally get the dict.
+habits keep working; attached sinks additionally get the dict.  The
+``repro-log-v1`` file is one more sink: the telemetry writer
+:class:`~repro.obs.sink.JsonlStream` writes it in place, flushed per
+line so it can be tailed, and :func:`~repro.obs.sink.read_stream`
+reads it back.
 
 The module is intentionally **stdlib-only with no intra-repo imports**:
 ``repro.obs`` imports from ``repro.resilience``, and the pool needs to
@@ -33,22 +37,19 @@ log — keeping this leaf module dependency-free lets every layer use it
 
 from __future__ import annotations
 
-import io
-import json
 import logging
 import threading
 import time
-from typing import Callable, Dict, List, Optional, TextIO, Tuple
+from typing import Callable, Dict, List, Tuple
 
 __all__ = [
     "LOG_SCHEMA",
     "LEVELS",
     "LogHub",
     "StructuredLogger",
-    "LogJsonlSink",
     "get_logger",
     "hub",
-    "read_log",
+    "summarize_log",
 ]
 
 LOG_SCHEMA = "repro-log-v1"
@@ -81,7 +82,6 @@ class LogHub:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._sinks: List[Callable[[dict], None]] = []
-        self._quarantined: set = set()
         self._warned: Dict[str, int] = {}
         self._windows: Dict[Tuple[str, str], Tuple[float, int]] = {}
         self.rate_burst = RATE_LIMIT_BURST
@@ -103,13 +103,11 @@ class LogHub:
         with self._lock:
             if sink in self._sinks:
                 self._sinks.remove(sink)
-            self._quarantined.discard(id(sink))
 
     def reset(self) -> None:
         """Drop sinks, warn-once memory, and rate windows (tests)."""
         with self._lock:
             self._sinks.clear()
-            self._quarantined.clear()
             self._warned.clear()
             self._windows.clear()
 
@@ -189,13 +187,12 @@ class LogHub:
         with self._lock:
             sinks = list(self._sinks)
         for sink in sinks:
-            if id(sink) in self._quarantined:
-                continue
             try:
                 sink(record)
             except Exception as exc:  # noqa: BLE001 - sink bugs must not kill callers
-                with self._lock:
-                    self._quarantined.add(id(sink))
+                # Quarantine by removal.  The complaint goes to stdlib
+                # logging: the hub cannot log through itself.
+                self.remove_sink(sink)
                 logging.getLogger("repro.obs.log").warning(
                     "log sink %r raised %s: %s; quarantining it", sink, type(exc).__name__, exc
                 )
@@ -241,68 +238,6 @@ def get_logger(name: str) -> StructuredLogger:
         if logger is None:
             logger = _loggers[name] = StructuredLogger(name)
         return logger
-
-
-class LogJsonlSink:
-    """Append records to a ``repro-log-v1`` JSONL file, line-buffered.
-
-    Unlike the span/event sinks (which write ``.partial`` then promote on
-    close — right for run artifacts), a log file must be *tailable while
-    the process runs*: the header and every record are flushed as they
-    are written, straight to the final path.
-    """
-
-    def __init__(self, path, meta: Optional[dict] = None) -> None:
-        self.path = path
-        self._lock = threading.Lock()
-        self._handle: TextIO = io.open(path, "w", encoding="utf-8")
-        header = {"format": LOG_SCHEMA, "meta": dict(meta or {})}
-        self._handle.write(json.dumps(header, sort_keys=True) + "\n")
-        self._handle.flush()
-
-    def __call__(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True, default=str)
-        with self._lock:
-            if self._handle.closed:
-                return
-            self._handle.write(line + "\n")
-            self._handle.flush()
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._handle.closed:
-                self._handle.flush()
-                self._handle.close()
-
-
-def read_log(path) -> Tuple[dict, List[dict]]:
-    """Read a ``repro-log-v1`` file → ``(meta, records)``.
-
-    Mirrors :func:`repro.obs.spans.read_spans`.  Raises ``ValueError``
-    on a missing or foreign header so callers can fall through to other
-    readers; tolerates a truncated trailing line (the process may have
-    died mid-write — logs are flushed per line, not atomically).
-    """
-    with io.open(path, "r", encoding="utf-8") as handle:
-        header_line = handle.readline()
-        if not header_line.strip():
-            raise ValueError(f"{path}: empty file, expected {LOG_SCHEMA} header")
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not a {LOG_SCHEMA} file: {exc}") from exc
-        if not isinstance(header, dict) or header.get("format") != LOG_SCHEMA:
-            raise ValueError(f"{path}: header format is not {LOG_SCHEMA!r}")
-        records: List[dict] = []
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                break  # truncated tail: keep what parsed
-    return header.get("meta", {}), records
 
 
 def summarize_log(records: List[dict]) -> dict:

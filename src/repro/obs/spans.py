@@ -23,10 +23,11 @@ on, tracing defaults on too and can be vetoed with ``REPRO_SPANS=0``.
 The tracer keeps a bounded in-memory tail (ring buffer) — enough for a
 sweep worker to ship its recent spans home in the per-seed result
 payload — and optionally streams every finished span to sinks, e.g. a
-:class:`SpanJsonlSink` writing the ``repro-spans-v1`` JSONL format:
+:class:`~repro.obs.sink.JsonlStream` writing the ``repro-spans-v1``
+JSONL format:
 
 * line 1 — header ``{"format": "repro-spans-v1", "meta": {...}}`` with
-  the same ``repro-trace-v2`` meta block the event sink embeds;
+  the same ``repro-trace-v2`` meta block the event stream embeds;
 * one line per finished span.
 
 :func:`chrome_trace_events` converts serialized spans into the Chrome
@@ -37,22 +38,18 @@ directly — that is what ``repro trace-export`` emits.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, TextIO, Tuple
+from typing import Callable, Deque, Dict, List, Optional
 
-from ..resilience import TraceFormatError, fsync_handle, promote
-from .log import get_logger
+from .hooks import call_each
 
 __all__ = [
     "SPANS_SCHEMA",
     "Span",
     "Tracer",
     "tracer",
-    "SpanJsonlSink",
-    "read_spans",
     "chrome_trace_events",
 ]
 
@@ -122,7 +119,6 @@ class Tracer:
         self._stack: List[Span] = []
         self._tail: Deque[Span] = deque(maxlen=capacity)
         self._sinks: List[Callable[[Span], None]] = []
-        self._warned_sinks: set = set()
         #: Completion counter; per-seed payloads slice the tail on it.
         self.seq = 0
 
@@ -187,25 +183,13 @@ class Tracer:
         self.seq += 1
         span.seq = self.seq
         self._tail.append(span)
-        for sink in list(self._sinks):
-            try:
-                sink(span)
-            except Exception as exc:
-                # Same contract as the hardened obs hooks: a broken sink
-                # is warned about once and removed; it never takes the
-                # simulation down with it.
-                if id(sink) not in self._warned_sinks:
-                    self._warned_sinks.add(id(sink))
-                    get_logger("repro.obs.spans").warning(
-                        "span_sink.quarantined",
-                        f"span sink {sink!r} raised "
-                        f"{type(exc).__name__}: {exc}; removing it",
-                        sink=repr(sink),
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                self.remove_sink(sink)
+        if self._sinks:
+            # A broken sink is warned about once and removed; it never
+            # takes the simulation down with it.
+            call_each(self._sinks, (span,), "span_sink.quarantined",
+                      "span sink", self.remove_sink)
 
-    # -- sinks & reading ---------------------------------------------------
+    # -- sinks & tail ------------------------------------------------------
 
     def add_sink(self, sink: Callable[[Span], None]) -> Callable[[Span], None]:
         self._sinks.append(sink)
@@ -226,97 +210,11 @@ class Tracer:
         self._stack.clear()
         self._tail.clear()
         self._sinks.clear()
-        self._warned_sinks.clear()
         self.seq = 0
 
 
 #: The process-wide tracer all span instrumentation records into.
 tracer = Tracer()
-
-
-class SpanJsonlSink:
-    """Streaming ``repro-spans-v1`` JSONL writer.
-
-    Mirrors :class:`~repro.obs.sink.JsonlSink`: eager self-describing
-    header, stream into ``<path>.partial``, fsync + atomic rename on
-    :meth:`close` — a finished spans file is always whole.
-    """
-
-    def __init__(self, path: str, meta: Optional[dict] = None) -> None:
-        self.path = path
-        self.meta = meta
-        self._partial_path = path + ".partial"
-        self._handle: Optional[TextIO] = open(
-            self._partial_path, "w", encoding="utf-8"
-        )
-        self._write_line({"format": SPANS_SCHEMA, "meta": meta})
-
-    def _write_line(self, payload: dict) -> None:
-        if self._handle is None:
-            raise ValueError(f"span sink {self.path!r} is closed")
-        self._handle.write(json.dumps(payload))
-        self._handle.write("\n")
-
-    def write(self, span: Span) -> None:
-        self._write_line(span.to_dict())
-
-    def close(self) -> None:
-        if self._handle is not None:
-            fsync_handle(self._handle)
-            self._handle.close()
-            self._handle = None
-            promote(self._partial_path, self.path)
-
-    def __enter__(self) -> "SpanJsonlSink":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def read_spans(path: str) -> Tuple[Optional[dict], List[dict]]:
-    """Read a spans JSONL stream: ``(meta, span dicts)``.
-
-    Raises :class:`ValueError` on a missing or foreign header and
-    :class:`~repro.resilience.errors.TraceFormatError` (with path and
-    1-based line number) on corrupted payload lines — the same loud
-    failure contract as the event-stream reader.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            header_line = handle.readline()
-        except UnicodeDecodeError:
-            raise ValueError(f"{path!r} is not a {SPANS_SCHEMA} stream")
-        try:
-            header = json.loads(header_line) if header_line.strip() else None
-        except json.JSONDecodeError:
-            header = None
-        if not isinstance(header, dict) or header.get("format") != SPANS_SCHEMA:
-            raise ValueError(f"{path!r} is not a {SPANS_SCHEMA} stream")
-        spans: List[dict] = []
-        line_no = 1
-        for line in handle:
-            line_no += 1
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceFormatError(
-                    f"{path}: undecodable span line {line_no}: {exc.msg} "
-                    f"(stream truncated or corrupted)",
-                    path=path,
-                    line=line_no,
-                    offset=exc.pos,
-                ) from exc
-            if not isinstance(payload, dict) or "id" not in payload:
-                raise TraceFormatError(
-                    f"{path}: span line {line_no} is not a span object",
-                    path=path,
-                    line=line_no,
-                )
-            spans.append(payload)
-    return header.get("meta"), spans
 
 
 def chrome_trace_events(

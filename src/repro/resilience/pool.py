@@ -49,34 +49,32 @@ __all__ = ["RunPolicy", "ResilientExecutor", "DEFAULT_POLICY"]
 
 logger = logging.getLogger("repro.resilience")
 
-# Warn-once registry: unexpected-but-tolerated conditions (a broken
-# telemetry observer, a worker raising SystemExit) are worth one warning,
-# not one per item per retry — a 10k-seed sweep with a bad observer must
-# not bury the real failures under 10k identical log lines.
-_warned: set = set()
+
+def _slog():
+    """The pool's structured logger (:mod:`repro.obs.log`).
+
+    Imported lazily: ``repro.obs`` itself imports from this package, so
+    a module-level import would cycle.  Records mirror to the stdlib
+    ``repro.resilience`` logger, preserving the pre-existing log lines.
+    """
+    from ..obs.log import get_logger
+
+    return get_logger(logger.name)
 
 
 def _warn_once(key: str, event: str, message: str, *args, **fields) -> None:
     """Emit one structured warning per ``key`` per process.
 
-    Routes through :mod:`repro.obs.log` (imported lazily: ``repro.obs``
-    itself imports from this package, so a module-level import would
-    cycle).  The structured record mirrors to the stdlib
-    ``repro.resilience`` logger, preserving the pre-existing log lines.
+    Unexpected-but-tolerated conditions (a broken telemetry observer, a
+    worker raising SystemExit) are worth one warning, not one per item
+    per retry: a 10k-seed sweep with a bad observer must not bury the
+    real failures under 10k identical log lines.  The registry is the
+    log hub's, so ``hub.warned_keys()`` counts the repeats.
     """
-    if key in _warned:
-        return
-    _warned.add(key)
     if fields.pop("exc_info", False):
         fields["traceback"] = traceback.format_exc()
-    from ..obs.log import get_logger
-
-    get_logger(logger.name).warning(
-        event,
-        (message % args if args else message) + " (warning once)",
-        warn_once_key=key,
-        **fields,
-    )
+    _slog().warn_once(key, event, message % args if args else message,
+                      **fields)
 
 
 def _as_charged_exception(exc: BaseException, key: str) -> Exception:
@@ -331,11 +329,13 @@ class ResilientExecutor:
             while state.incomplete:
                 if self.serial or self.rebuilds > policy.max_pool_rebuilds:
                     if not self.serial:
-                        logger.warning(
-                            "pool broke %d time(s); degrading to serial "
-                            "execution for %d remaining item(s)",
-                            self.rebuilds,
-                            len(state.incomplete),
+                        _slog().warning(
+                            "pool.serial_fallback",
+                            f"pool broke {self.rebuilds} time(s); "
+                            f"degrading to serial execution for "
+                            f"{len(state.incomplete)} remaining item(s)",
+                            rebuilds=self.rebuilds,
+                            remaining=len(state.incomplete),
                         )
                     self._run_serial(fn, chaos, state)
                     break
@@ -356,11 +356,14 @@ class ResilientExecutor:
                                 ),
                                 strike=False,
                             )
-                    logger.warning(
-                        "rebuilding worker pool (%s); re-dispatching %d "
-                        "incomplete item(s)",
-                        restart.reason,
-                        len(state.incomplete),
+                    _slog().warning(
+                        "pool.rebuilt",
+                        f"rebuilding worker pool ({restart.reason}); "
+                        f"re-dispatching {len(state.incomplete)} "
+                        f"incomplete item(s)",
+                        reason=restart.reason,
+                        rebuilds=self.rebuilds,
+                        remaining=len(state.incomplete),
                     )
         except KeyboardInterrupt:
             # Propagate cleanly: kill workers, drop queued futures, and

@@ -67,10 +67,11 @@ from ..experiments.runner import Scenario, run_scenario, executor
 from ..geometry import kernels
 from ..obs.aggregate import Aggregator, namespace_delta
 from ..obs.histogram import Histogram
-from ..obs.log import LogJsonlSink, get_logger
+from ..obs.log import LOG_SCHEMA, get_logger
 from ..obs.log import hub as log_hub
 from ..obs.metrics import Metrics
-from ..obs.spans import SpanJsonlSink
+from ..obs.sink import JsonlStream
+from ..obs.spans import SPANS_SCHEMA
 from ..resilience import (
     ChaosPolicy,
     ReproError,
@@ -93,16 +94,12 @@ from .prometheus import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
 from .prometheus import exposition, wants_prometheus
 from .protocol import SERVE_SCHEMA
 from .store import ResultStore, result_key
-from .tracing import (
-    REQUEST_ID_HEADER,
-    LockedSpanWriter,
-    RequestTrace,
-    clean_request_id,
-)
+from .tracing import REQUEST_ID_HEADER, RequestTrace, clean_request_id
 
 __all__ = ["ReproServer"]
 
 logger = logging.getLogger("repro.serve")
+slog = get_logger(logger.name)
 
 #: Seeds resolved (cache + compute) per flushed block of a sweep
 #: stream — small enough for live progress, large enough to amortize
@@ -205,24 +202,17 @@ class ReproServer:
         # request, never rate-limited (the hub's limiter is for hot
         # failure paths; ``http.line``/``http.error`` stay capped).
         log_hub.rate_exempt.add("http.access")
-        self._access_sink: Optional[LogJsonlSink] = None
+        meta = {"source": "repro-serve", "version": __version__}
+        self._access_sink: Optional[JsonlStream] = None
         if access_log:
-            self._access_sink = LogJsonlSink(
-                access_log,
-                meta={"source": "repro-serve", "version": __version__},
-            )
-            log_hub.add_sink(self._access_sink)
+            self._access_sink = JsonlStream(access_log, LOG_SCHEMA, meta)
+            log_hub.add_sink(self._access_sink.write)
         #: Per-request span trees stream here (one repro-spans-v1 file
         #: shared by all handler threads); ``None`` disables request
         #: tracing entirely — no span objects are built.
-        self._trace_writer: Optional[LockedSpanWriter] = None
+        self._trace_writer: Optional[JsonlStream] = None
         if trace_jsonl:
-            self._trace_writer = LockedSpanWriter(
-                SpanJsonlSink(
-                    trace_jsonl,
-                    meta={"source": "repro-serve", "version": __version__},
-                )
-            )
+            self._trace_writer = JsonlStream(trace_jsonl, SPANS_SCHEMA, meta)
         self.started = time.monotonic()
         self._serving = threading.Event()
         self.httpd = _Server((host, port), _Handler)
@@ -275,11 +265,13 @@ class ReproServer:
             # threads for already-accepted connections keep running.
             self.httpd.shutdown()
         if not self.admission.drain(drain_s):
-            logger.warning(
-                "drain deadline of %.1fs expired with %d unit(s) still "
-                "in flight; closing anyway",
-                drain_s,
-                self.admission.inflight,
+            inflight = self.admission.inflight
+            slog.warning(
+                "serve.drain_expired",
+                f"drain deadline of {drain_s:.1f}s expired with "
+                f"{inflight} unit(s) still in flight; closing anyway",
+                drain_s=drain_s,
+                inflight=inflight,
             )
         self.httpd.server_close()
         if self._pool_cm is not None:
@@ -291,7 +283,7 @@ class ReproServer:
             self._trace_writer.close()
             self._trace_writer = None
         if self._access_sink is not None:
-            log_hub.remove_sink(self._access_sink)
+            log_hub.remove_sink(self._access_sink.write)
             self._access_sink.close()
             self._access_sink = None
 
@@ -799,6 +791,25 @@ class _Handler(BaseHTTPRequestHandler):
         self._status = code
         super().send_response(code, message)
 
+    def handle_one_request(self) -> None:
+        try:
+            super().handle_one_request()
+        except ConnectionError:
+            # The client left mid-request or mid-response: nothing more
+            # can reach it, and that is no server error.  (After a sweep
+            # logged http.client_gone, the stdlib's own flush of the
+            # response re-raises here.)
+            self.close_connection = True
+
+    def finish(self) -> None:
+        try:
+            super().finish()
+        except ConnectionError:
+            # wfile.close() re-raised the flush a departed client
+            # refused, after closing the socket file; the read side
+            # still needs its close.
+            self.rfile.close()
+
     def handle_expect_100(self) -> bool:
         # The client holds its body back until 100 Continue arrives, so
         # the interim response cannot wait in the buffer for the final one.
@@ -1090,64 +1101,72 @@ class _Handler(BaseHTTPRequestHandler):
         if self._rid is not None:
             self.send_header(REQUEST_ID_HEADER, self._rid)
         self.end_headers()
-        # The status line goes out before the first block computes.
-        self.wfile.flush()
         verdicts: dict = {}
-        hits = misses = 0
+        misses = chunks = 0
         try:
+            # The status line goes out before the first block computes.
+            self.wfile.flush()
             # Stream block by block, in seed order: progress is live,
             # but the byte stream is a pure function of the request.
             # The deadline is checked per block — an expired budget
             # turns into the stream's (structured) last line.
             for i in range(0, len(request.seeds), SWEEP_BLOCK):
-                block = request.seeds[i : i + SWEEP_BLOCK]
-                for body, cache_state in app.resolve(
-                    request.scenario,
-                    block,
-                    use_cache=use_cache,
-                    prefix="serve.sweep",
-                    deadline=deadline,
-                    trace=self._trace,
-                ):
+                try:
+                    resolved = app.resolve(
+                        request.scenario,
+                        request.seeds[i : i + SWEEP_BLOCK],
+                        use_cache=use_cache,
+                        prefix="serve.sweep",
+                        deadline=deadline,
+                        trace=self._trace,
+                    )
+                except Exception as exc:
+                    # Headers are gone; the error becomes the stream's
+                    # last line, and the chunked coding still
+                    # terminates cleanly.
+                    if not isinstance(exc, ReproError):
+                        logger.exception("POST /sweep failed mid-stream")
+                    app.observe_error("sweep", exc)
+                    release()
+                    if not isinstance(exc, ReproError):
+                        exc = ReproError(
+                            f"internal error: {type(exc).__name__}: {exc}"
+                        )
+                    self._write_chunk(protocol.error_body(exc).encode("utf-8"))
+                    self._end_chunks()
+                    return
+                for body, cache_state in resolved:
                     verdict = json.loads(body)["result"]["verdict"]
                     verdicts[verdict] = verdicts.get(verdict, 0) + 1
-                    hits += cache_state == "hit"
                     misses += cache_state != "hit"
                     self._write_chunk(body.encode("utf-8"))
-        except ReproError as exc:
-            # Headers are gone; the error becomes the stream's last
-            # line, and the chunked coding still terminates cleanly.
-            app.observe_error("sweep", exc)
-            release()
-            self._write_chunk(protocol.error_body(exc).encode("utf-8"))
-            self._end_chunks()
-            return
-        except Exception as exc:
-            logger.exception("POST /sweep failed mid-stream")
-            app.observe_error("sweep", exc)
+                    chunks += 1
+            cache_state = None
+            if use_cache:
+                cache_state = "hit" if misses == 0 else "miss"
+            self._cache_state = cache_state
+            # Account before the terminating chunk: once the client's
+            # read completes, this request is visible in /metrics.
+            app.observe_request(
+                "sweep", time.perf_counter() - started, cache_state
+            )
             release()
             self._write_chunk(
-                protocol.error_body(
-                    ReproError(
-                        f"internal error: {type(exc).__name__}: {exc}"
-                    )
+                protocol.sweep_summary_line(
+                    request.scenario, request.seeds, verdicts
                 ).encode("utf-8")
             )
             self._end_chunks()
-            return
-        cache_state = None
-        if use_cache:
-            cache_state = "hit" if misses == 0 else "miss"
-        self._cache_state = cache_state
-        # Account before the terminating chunk: once the client's read
-        # completes, this request is visible in /metrics.
-        app.observe_request(
-            "sweep", time.perf_counter() - started, cache_state
-        )
-        release()
-        self._write_chunk(
-            protocol.sweep_summary_line(
-                request.scenario, request.seeds, verdicts
-            ).encode("utf-8")
-        )
-        self._end_chunks()
+        except ConnectionError:
+            # The client left mid-stream.  Nothing more can reach it,
+            # and its leaving is no server failure: free the slot, end
+            # the connection, count nothing, and say so once.
+            release()
+            self.close_connection = True
+            app.access_logger.info(
+                "http.client_gone",
+                f"POST /sweep client left after {chunks} chunk(s)",
+                request_id=self._rid,
+                route=self._route,
+                chunks=chunks,
+            )

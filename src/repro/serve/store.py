@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import threading
 from collections import OrderedDict
@@ -62,7 +61,6 @@ from ..sim.trace import scenario_hash
 
 __all__ = ["ResultStore", "result_key", "STORE_SCHEMA"]
 
-logger = logging.getLogger("repro.serve.store")
 slog = get_logger("repro.serve.store")
 
 #: Schema of the on-disk entry envelope (header line + verbatim body).
@@ -169,7 +167,6 @@ class ResultStore:
         self.chaos = chaos
         self._memory: "OrderedDict[str, str]" = OrderedDict()
         self._lock = threading.Lock()
-        self._warned_write = False
         #: Per-key disk-op counters: the chaos "attempt" number, so a
         #: fault injected on one read re-rolls on the retry — transient
         #: faults heal, which is what the self-healing tests assert.
@@ -274,18 +271,14 @@ class ResultStore:
             except OSError as exc:
                 with self._lock:
                     self.write_errors += 1
-                    warn = not self._warned_write
-                    self._warned_write = True
-                if warn:
-                    slog.warning(
-                        "store.write_error",
-                        f"result store disk write failed "
-                        f"({type(exc).__name__}: {exc}); serving from "
-                        f"memory only (warning once; disk writes keep "
-                        f"being attempted)",
-                        warn_once_key="store.write_error",
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
+                slog.warn_once(
+                    f"store.write_error:{self.root}",
+                    "store.write_error",
+                    f"result store disk write failed "
+                    f"({type(exc).__name__}: {exc}); serving from memory "
+                    f"only, disk writes keep being attempted",
+                    error=f"{type(exc).__name__}: {exc}",
+                )
 
     def _quarantine(self, key: str) -> None:
         """Move a corrupt entry out of the serving path, keeping it."""

@@ -31,18 +31,17 @@ no-alloc contract).
 from __future__ import annotations
 
 import re
-import threading
 import uuid
 from typing import List, Optional
 
-from ..obs.spans import Span, SpanJsonlSink, Tracer
+from ..obs.sink import JsonlStream
+from ..obs.spans import Span, Tracer
 
 __all__ = [
     "REQUEST_ID_HEADER",
     "new_request_id",
     "clean_request_id",
     "RequestTrace",
-    "LockedSpanWriter",
 ]
 
 #: The request-id header, both directions: propagated when the client
@@ -66,34 +65,13 @@ def clean_request_id(supplied: Optional[str]) -> str:
     return new_request_id()
 
 
-class LockedSpanWriter:
-    """Serialize concurrent handler threads onto one span sink.
-
-    :class:`~repro.obs.spans.SpanJsonlSink` is written by one tracer in
-    the worker/CLI paths; here many per-request tracers share it, so
-    every write takes a lock (one line per span — the lock is held for
-    a single buffered write).
-    """
-
-    def __init__(self, sink: SpanJsonlSink) -> None:
-        self.sink = sink
-        self._lock = threading.Lock()
-
-    def __call__(self, span: Span) -> None:
-        with self._lock:
-            self.sink.write(span)
-
-    def close(self) -> None:
-        with self._lock:
-            self.sink.close()
-
-
 class RequestTrace:
     """The span tree of one in-flight request.
 
     Opened at admission, closed by :meth:`finish` just before the
     response epilogue.  All methods run on the request's handler
-    thread; the only shared state is the (locked) writer.
+    thread; the only shared state is the daemon's spans stream, which
+    takes its own lock per line.
     """
 
     def __init__(
@@ -101,13 +79,13 @@ class RequestTrace:
         request_id: str,
         route: str,
         method: str,
-        writer,
+        stream: Optional[JsonlStream],
     ) -> None:
         self.request_id = request_id
         self.tracer = Tracer()
         self.tracer.active = True
-        if writer is not None:
-            self.tracer.add_sink(writer)
+        if stream is not None:
+            self.tracer.add_sink(lambda span: stream.write(span.to_dict()))
         self.root = self.tracer.begin(
             "request",
             "request",

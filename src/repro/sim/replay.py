@@ -130,7 +130,7 @@ class DiffReport:
 
 
 def load_trace(path: str) -> Trace:
-    """Read an archived trace (v1 or v2) from ``path``.
+    """Read an archived ``repro-trace-v2`` trace from ``path``.
 
     Corruption (truncated or garbage JSON, malformed records, foreign
     headers) raises :class:`~repro.resilience.errors.TraceFormatError`
@@ -169,8 +169,8 @@ def save_trace(trace: Trace, path: str, indent: Optional[int] = 2) -> None:
 def _require_replayable(meta: Optional[TraceMeta]) -> TraceMeta:
     if meta is None:
         raise ValueError(
-            "trace has no meta block (v1 archive?); only v2 traces "
-            "recorded through the scenario runner can be replayed"
+            "trace has no meta block; only traces recorded through "
+            "the scenario runner can be replayed"
         )
     if meta.scenario is None or meta.seed is None:
         raise ValueError(

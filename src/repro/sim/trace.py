@@ -7,18 +7,17 @@ experiment harness (which aggregates metrics), humans debugging a run
 (``Trace.to_json`` / ``Trace.from_json`` round-trip the full record so a
 run can be archived, diffed, or re-analysed without re-simulating).
 
-Schema versions
----------------
-``repro-trace-v2`` (written) adds a ``meta`` block embedding everything
-needed to *re-simulate* the run — the canonical scenario dict, the sweep
-seed and engine seed, the kernel backend, the package version, and the
+Schema
+------
+``repro-trace-v2`` carries a ``meta`` block embedding everything needed
+to *re-simulate* the run — the canonical scenario dict, the sweep seed
+and engine seed, the kernel backend, the package version, and the
 :class:`~repro.geometry.tolerance.Tolerance` the run quantized space
 with.  The tolerance matters for fidelity, not just provenance: the
 per-round configurations are rebuilt on load, and rebuilding with the
 wrong tolerance silently changes how near-coincident points merge into
-support points.  ``repro-trace-v1`` archives (no meta) are still read;
-their configurations are rebuilt with the default tolerance, which is
-what v1 writers recorded under.
+support points.  A trace without meta (``"meta": null``) still loads,
+rebuilt with the default tolerance, but cannot be replayed.
 """
 
 from __future__ import annotations
@@ -36,16 +35,12 @@ __all__ = [
     "RoundRecord",
     "Trace",
     "TraceMeta",
-    "SCHEMA_V1",
     "SCHEMA_V2",
     "canonical_scenario_json",
     "scenario_hash",
 ]
 
-#: Legacy schema identifier: records only, default tolerance, no meta.
-SCHEMA_V1 = "repro-trace-v1"
-
-#: Current schema identifier: ``meta`` block + records.
+#: Schema identifier: ``meta`` block + records.
 SCHEMA_V2 = "repro-trace-v2"
 
 
@@ -325,7 +320,7 @@ class Trace:
 
     @classmethod
     def from_json(cls, text: str, source: str = "<trace>") -> "Trace":
-        """Inverse of :meth:`to_json`; also reads v1 archives.
+        """Inverse of :meth:`to_json`.
 
         Raises :class:`~repro.resilience.errors.TraceFormatError` (a
         :class:`ValueError`) on any unrecognized or corrupted payload —
@@ -343,14 +338,10 @@ class Trace:
                 line=exc.lineno,
                 offset=exc.pos,
             ) from exc
-        if not isinstance(data, dict) or data.get("format") not in (
-            SCHEMA_V1,
-            SCHEMA_V2,
-        ):
+        if not isinstance(data, dict) or data.get("format") != SCHEMA_V2:
             found = data.get("format") if isinstance(data, dict) else type(data).__name__
             raise TraceFormatError(
-                f"{source}: not a {SCHEMA_V1}/{SCHEMA_V2} payload "
-                f"(format={found!r})",
+                f"{source}: not a {SCHEMA_V2} payload (format={found!r})",
                 path=source,
             )
         meta_data = data.get("meta")

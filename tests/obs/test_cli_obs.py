@@ -10,8 +10,11 @@ from repro.cli import main
 from repro.obs import (
     OBS_SCHEMA,
     SWEEP_METRICS_SCHEMA,
-    read_spans,
+    read_stream,
 )
+
+
+CORPUS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "corpus")
 
 
 def _assert_chrome_shape(path):
@@ -40,7 +43,8 @@ class TestSimulateSpans:
         ])
         assert code == 0
         assert "span trace saved to" in capsys.readouterr().out
-        meta, spans = read_spans(spans_path)
+        stream = read_stream(spans_path)
+        meta, spans = stream.meta, stream.records
         assert meta["scenario"]["workload"] == "asymmetric"
         kinds = {s["kind"] for s in spans}
         assert {"run", "round", "phase"} <= kinds
@@ -94,10 +98,9 @@ class TestTraceExport:
         assert code == 0
         assert "span stream" in capsys.readouterr().out
         document = _assert_chrome_shape(out_path)
-        args = [
-            e["args"] for e in document["traceEvents"] if e["ph"] == "X"
-        ]
-        assert all("span_id" in a for a in args)
+        complete = [e for e in document["traceEvents"] if e["ph"] == "X"]
+        assert all("span_id" in e["args"] for e in complete)
+        assert {"run", "round", "phase"} <= {e["cat"] for e in complete}
 
     def test_default_output_path(self, tmp_path):
         spans_path = self._spans_file(tmp_path)
@@ -127,6 +130,17 @@ class TestTraceExport:
         assert main(["trace-export", trace_path, "-o", out_path]) == 0
         assert "trace archive" in capsys.readouterr().out
         _assert_chrome_shape(out_path)
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(CORPUS)))
+    def test_committed_corpus_trace_exports(self, tmp_path, capsys, name):
+        out_path = str(tmp_path / "corpus.perfetto.json")
+        code = main([
+            "trace-export", os.path.join(CORPUS, name), "-o", out_path,
+        ])
+        assert code == 0
+        assert "trace archive" in capsys.readouterr().out
+        document = _assert_chrome_shape(out_path)
+        assert any(e["ph"] == "X" for e in document["traceEvents"])
 
     def test_corrupt_spans_file_exits_2(self, tmp_path, capsys):
         spans_path = self._spans_file(tmp_path)
@@ -172,18 +186,19 @@ class TestTraceExportMerge:
 
 class TestStatsOnLogFiles:
     def _log_file(self, tmp_path):
-        from repro.obs.log import LogJsonlSink, get_logger, hub
+        from repro.obs.log import LOG_SCHEMA, get_logger, hub
+        from repro.obs.sink import JsonlStream
 
         path = str(tmp_path / "daemon.log.jsonl")
-        sink = LogJsonlSink(path, meta={"source": "unit-test"})
-        hub.add_sink(sink)
+        sink = JsonlStream(path, LOG_SCHEMA, meta={"source": "unit-test"})
+        hub.add_sink(sink.write)
         try:
             log = get_logger("repro.unit")
             log.info("http.access", "request", status=200)
             log.info("http.access", "request", status=200)
             log.warn_once("pool.broken", "pool.worker_lost", "gone")
         finally:
-            hub.remove_sink(sink)
+            hub.remove_sink(sink.write)
             sink.close()
         return path
 
@@ -245,3 +260,75 @@ class TestStatsEdgeCases:
         code = main(["stats", str(path)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestDispatchOnHeaderTag:
+    """Both commands read the header once and branch on its tag."""
+
+    def _record(self, tmp_path, flag, name):
+        path = str(tmp_path / name)
+        main([
+            "simulate", "--workload", "asymmetric", "--n", "6",
+            "--seed", "1", flag, path,
+        ])
+        return path
+
+    def _one_line_error(self, capsys):
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err
+        return err
+
+    def test_stats_names_a_sweep_journal_tag(self, tmp_path, capsys):
+        journal = str(tmp_path / "sweep.journal.jsonl")
+        assert main([
+            "sweep", "--workload", "asymmetric", "--n", "6",
+            "--seeds", "2", "--journal", journal,
+        ]) == 0
+        capsys.readouterr()
+        assert main(["stats", journal]) == 2
+        err = self._one_line_error(capsys)
+        assert "repro-sweep-v1" in err
+        assert "repro-obs-v1" in err  # what stats reads instead
+
+    def test_trace_export_names_a_log_tag(self, tmp_path, capsys):
+        path = tmp_path / "access.log.jsonl"
+        path.write_text("".join(
+            json.dumps(line) + "\n"
+            for line in (
+                {"format": "repro-log-v1", "meta": {"source": "unit"}},
+                {"ts": 1.0, "level": "info", "event": "http.access"},
+                {"ts": 2.0, "level": "info", "event": "http.access"},
+            )
+        ))
+        code = main(["trace-export", str(path), "-o", str(tmp_path / "o")])
+        assert code == 2
+        err = self._one_line_error(capsys)
+        assert "repro-log-v1" in err
+        assert "repro-spans-v1" in err  # what trace-export reads instead
+
+    @pytest.mark.parametrize("command", ["stats", "trace-export"])
+    def test_missing_file_is_one_line(self, tmp_path, capsys, command):
+        path = str(tmp_path / "missing.jsonl")
+        assert main([command, path]) == 2
+        assert "cannot read" in self._one_line_error(capsys)
+
+    @pytest.mark.parametrize("flag,name", [
+        ("--spans-jsonl", "run.spans.jsonl"),
+        ("--obs-jsonl", "run.obs.jsonl"),
+    ])
+    @pytest.mark.parametrize("command", ["stats", "trace-export"])
+    def test_binary_garbage_is_blamed_on_its_line(self, tmp_path, capsys,
+                                                  flag, name, command):
+        path = self._record(tmp_path, flag, name)
+        with open(path, "ab") as handle:
+            handle.write(b"\x00\xff\xfe binary garbage \x81\n")
+        with open(path, "rb") as handle:
+            last_line = handle.read().count(b"\n")
+        capsys.readouterr()
+        argv = [command, path]
+        if command == "trace-export":
+            argv += ["-o", str(tmp_path / "o.json")]
+        assert main(argv) == 2
+        err = self._one_line_error(capsys)
+        assert path in err
+        assert f"line {last_line}:" in err

@@ -9,12 +9,11 @@ from repro import obs
 from repro.obs.log import (
     LOG_SCHEMA,
     LogHub,
-    LogJsonlSink,
     get_logger,
     hub,
-    read_log,
     summarize_log,
 )
+from repro.obs.sink import JsonlStream, read_stream
 
 
 @pytest.fixture()
@@ -154,55 +153,80 @@ class TestSinkQuarantine:
 class TestJsonlRoundTrip:
     def test_header_and_records(self, tmp_path):
         path = str(tmp_path / "run.log.jsonl")
-        sink = LogJsonlSink(path, meta={"source": "unit"})
-        hub.add_sink(sink)
+        sink = JsonlStream(path, LOG_SCHEMA, meta={"source": "unit"})
+        hub.add_sink(sink.write)
         try:
             log = get_logger("repro.test")
             log.info("unit.rt", "hello", n=1)
             log.warning("unit.rt2", "watch out")
         finally:
-            hub.remove_sink(sink)
+            hub.remove_sink(sink.write)
             sink.close()
         with open(path, "r", encoding="utf-8") as handle:
             header = json.loads(handle.readline())
         assert header["format"] == LOG_SCHEMA
-        meta, log_records = read_log(path)
+        stream = read_stream(path)
+        meta, log_records = stream.meta, stream.records
         assert meta == {"source": "unit"}
         assert [r["event"] for r in log_records] == ["unit.rt", "unit.rt2"]
         assert log_records[0]["fields"] == {"n": 1}
 
     def test_file_is_tailable_before_close(self, tmp_path):
         path = str(tmp_path / "live.log.jsonl")
-        sink = LogJsonlSink(path)
-        hub.add_sink(sink)
+        sink = JsonlStream(path, LOG_SCHEMA)
+        hub.add_sink(sink.write)
         try:
             get_logger("repro.test").info("unit.live", "flushed")
             # No close: the record must already be on disk.
-            meta, log_records = read_log(path)
+            stream = read_stream(path)
+            meta, log_records = stream.meta, stream.records
         finally:
-            hub.remove_sink(sink)
+            hub.remove_sink(sink.write)
             sink.close()
         assert [r["event"] for r in log_records] == ["unit.live"]
 
     def test_truncated_tail_is_tolerated(self, tmp_path):
         path = str(tmp_path / "cut.log.jsonl")
-        sink = LogJsonlSink(path)
-        hub.add_sink(sink)
+        sink = JsonlStream(path, LOG_SCHEMA)
+        hub.add_sink(sink.write)
         try:
             get_logger("repro.test").info("unit.cut", "whole")
         finally:
-            hub.remove_sink(sink)
+            hub.remove_sink(sink.write)
             sink.close()
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"ts": 1, "level": "info", "trunc')
-        _, log_records = read_log(path)
+        log_records = read_stream(path).records
         assert [r["event"] for r in log_records] == ["unit.cut"]
+
+    def test_interior_bad_line_is_reported_not_truncated(self, tmp_path,
+                                                         capsys):
+        # Only a torn *final* line is forgiven: a bad line inside the
+        # log must not silently drop the records after it.
+        from repro.cli import main
+
+        records = [
+            {"ts": 1.0, "level": "info", "logger": "repro.test",
+             "event": f"unit.r{i}", "msg": "m"}
+            for i in range(3)
+        ]
+        lines = [json.dumps({"format": LOG_SCHEMA, "meta": {}})]
+        lines.append(json.dumps(records[0]))
+        lines.append('{"ts": 2, "level": "info", "trunc')
+        lines.extend(json.dumps(r) for r in records[1:])
+        path = tmp_path / "bad.log.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["stats", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "line 3" in captured.err
+        assert "structured log" not in captured.out
 
     def test_foreign_file_raises_value_error(self, tmp_path):
         path = tmp_path / "foreign.jsonl"
         path.write_text('{"format": "something-else"}\n')
         with pytest.raises(ValueError):
-            read_log(str(path))
+            read_stream(str(path))
 
 
 class TestSummarize:

@@ -6,13 +6,8 @@ import pytest
 
 from repro import obs
 from repro.experiments.runner import Scenario, run_scenario
-from repro.obs.spans import (
-    SPANS_SCHEMA,
-    SpanJsonlSink,
-    Tracer,
-    chrome_trace_events,
-    read_spans,
-)
+from repro.obs.sink import JsonlStream, read_stream
+from repro.obs.spans import SPANS_SCHEMA, Tracer, chrome_trace_events
 from repro.resilience import TraceFormatError
 
 
@@ -175,8 +170,8 @@ class TestSpansJsonl:
     def _write_stream(self, tmp_path, meta=None):
         tracer = Tracer()
         path = str(tmp_path / "run.spans.jsonl")
-        sink = SpanJsonlSink(path, meta=meta)
-        tracer.add_sink(sink.write)
+        sink = JsonlStream(path, SPANS_SCHEMA, meta=meta)
+        tracer.add_sink(lambda span: sink.write(span.to_dict()))
         run = tracer.begin("run", "run", attrs={"seed": 1})
         tracer.end(tracer.begin("round", "round"))
         tracer.end(run)
@@ -186,7 +181,8 @@ class TestSpansJsonl:
     def test_roundtrip(self, tmp_path):
         meta = {"scenario": {"workload": "random", "n": 4}, "seed": 1}
         path = self._write_stream(tmp_path, meta=meta)
-        read_meta, spans = read_spans(path)
+        stream = read_stream(path)
+        read_meta, spans = stream.meta, stream.records
         assert read_meta == meta
         assert [s["name"] for s in spans] == ["round", "run"]
         assert spans[0]["parent"] == spans[1]["id"]
@@ -195,14 +191,14 @@ class TestSpansJsonl:
         path = tmp_path / "other.jsonl"
         path.write_text('{"format": "something-else"}\n')
         with pytest.raises(ValueError):
-            read_spans(str(path))
+            read_stream(str(path))
 
     def test_corrupt_line_raises_trace_format_error(self, tmp_path):
         path = self._write_stream(tmp_path)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"id": 99, "truncat\n')
         with pytest.raises(TraceFormatError) as excinfo:
-            read_spans(path)
+            read_stream(path)
         assert excinfo.value.line == 4
 
     def test_non_span_line_raises_trace_format_error(self, tmp_path):
@@ -212,7 +208,7 @@ class TestSpansJsonl:
             + "\n[1, 2, 3]\n"
         )
         with pytest.raises(TraceFormatError):
-            read_spans(str(path))
+            read_stream(str(path))
 
 
 class TestChromeExport:

@@ -13,6 +13,7 @@ import logging
 
 import pytest
 
+from repro import obs
 from repro.resilience import (
     ChaosPolicy,
     ResilientExecutor,
@@ -43,9 +44,9 @@ def exit_on_three(x):
 @pytest.fixture(autouse=True)
 def _reset_warn_once():
     # The warn-once registry is process-global by design; isolate tests.
-    pool_module._warned.clear()
+    obs.log_hub.reset()
     yield
-    pool_module._warned.clear()
+    obs.log_hub.reset()
 
 
 class TestBaseExceptionSurfacesAsWorkerCrash:

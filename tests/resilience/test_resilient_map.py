@@ -14,6 +14,7 @@ triggering when the hash input format changes.
 
 import pytest
 
+from repro import obs
 from repro.experiments.runner import Scenario, run_batch
 from repro.resilience import (
     ChaosPolicy,
@@ -161,12 +162,22 @@ class TestPooled:
             match="k0",
         )
         policy = RunPolicy(retries=2, backoff=0.0, max_pool_rebuilds=0, tick=0.02)
-        with ResilientExecutor(2, policy=policy) as pool:
-            results = pool.map_resilient(
-                square, [3, 4], keys=["k0", "k1"], chaos=chaos
-            )
-            assert results == [9, 16]
-            assert pool.rebuilds == 1
+        records = []
+        obs.log_hub.add_sink(records.append)
+        try:
+            with ResilientExecutor(2, policy=policy) as pool:
+                results = pool.map_resilient(
+                    square, [3, 4], keys=["k0", "k1"], chaos=chaos
+                )
+                assert results == [9, 16]
+                assert pool.rebuilds == 1
+        finally:
+            obs.log_hub.remove_sink(records.append)
+        # The rebuild and the fallback reach the structured hub (and so
+        # any --access-log file), not just stdlib logging.
+        events = [r["event"] for r in records if r["level"] == "warning"]
+        assert events.count("pool.rebuilt") == 1
+        assert events.count("pool.serial_fallback") == 1
 
     def test_hung_item_times_out_and_fails_as_timeout(self):
         # One item sleeps far past the deadline; it must be charged a

@@ -9,12 +9,14 @@ grafted worker-side run/round/phase spans sharing the request id — and
 and the Prometheus text exposition derived from it.
 """
 
+import errno
 import json
 import re
 
+from repro.cli import main
+from repro.obs import log_hub
 from repro.obs.histogram import DEFAULT_BOUNDS
-from repro.obs.log import read_log
-from repro.obs.spans import read_spans
+from repro.obs.sink import read_stream
 from repro.serve.prometheus import exposition, wants_prometheus
 from repro.serve.tracing import REQUEST_ID_HEADER, clean_request_id
 
@@ -29,6 +31,19 @@ SCENARIO = {
 }
 
 _HEX32 = re.compile(r"^[0-9a-f]{32}$")
+
+
+class _FullDisk:
+    """A file handle whose every write fails as on a full disk."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
 
 
 class TestRequestIds:
@@ -95,7 +110,8 @@ class TestRequestSpans:
             )
             assert status == 200
         # close() promoted the .partial file.
-        meta, spans = read_spans(spans_path)
+        stream = read_stream(spans_path)
+        meta, spans = stream.meta, stream.records
         assert meta["source"] == "repro-serve"
         mine = [
             s for s in spans
@@ -121,6 +137,16 @@ class TestRequestSpans:
         hi = lo + worker_run[0]["dur_ns"]
         for span in roots:
             assert lo <= span["start_ns"] <= hi
+        # The Perfetto export keeps the request id on every one of them.
+        out_path = str(tmp_path / "serve.perfetto.json")
+        assert main(["trace-export", spans_path, "-o", out_path]) == 0
+        with open(out_path, "r", encoding="utf-8") as handle:
+            events = json.load(handle)["traceEvents"]
+        joined = [
+            e for e in events
+            if e.get("args", {}).get("request_id") == "joined-req-1"
+        ]
+        assert len(joined) == len(mine)
 
     def test_cache_hit_skips_worker_spans(self, tmp_path):
         spans_path = str(tmp_path / "serve.spans.jsonl")
@@ -131,7 +157,7 @@ class TestRequestSpans:
                 headers={REQUEST_ID_HEADER: "warm-req"},
             )
             assert headers["X-Repro-Cache"] == "hit"
-        _, spans = read_spans(spans_path)
+        spans = read_stream(spans_path).records
         warm = [
             s for s in spans
             if (s.get("attrs") or {}).get("request_id") == "warm-req"
@@ -141,6 +167,28 @@ class TestRequestSpans:
         assert "worker_run" not in names
         lookup = next(s for s in warm if s["name"] == "cache_lookup")
         assert lookup["attrs"]["hit"] is True
+
+    def test_failing_trace_writes_warn_once_and_promote_nothing(
+        self, tmp_path
+    ):
+        spans_path = tmp_path / "serve.spans.jsonl"
+        records = []
+        log_hub.add_sink(records.append)
+        try:
+            with serving(trace_jsonl=str(spans_path)) as client:
+                stream = client.server._trace_writer
+                stream._handle = _FullDisk(stream._handle)
+                for seed in range(5):
+                    status, _, _ = client.run(SCENARIO, seed=seed)
+                    assert status == 200
+        finally:
+            log_hub.remove_sink(records.append)
+        warnings = [r for r in records if r["level"] == "warning"]
+        assert [r["event"] for r in warnings] == ["telemetry.write_failed"]
+        assert str(spans_path) in warnings[0]["msg"]
+        # Never promoted: the partial file stays for inspection.
+        assert not spans_path.exists()
+        assert (tmp_path / "serve.spans.jsonl.partial").exists()
 
     def test_untraced_daemon_writes_no_spans_file(self, tmp_path):
         spans_path = tmp_path / "never.spans.jsonl"
@@ -158,7 +206,8 @@ class TestAccessLog:
                 headers={REQUEST_ID_HEADER: "logged-req"},
             )
             client.request("GET", "/healthz")
-        meta, records = read_log(log_path)
+        stream = read_stream(log_path)
+        meta, records = stream.meta, stream.records
         assert meta["source"] == "repro-serve"
         access = [r for r in records if r["event"] == "http.access"]
         assert len(access) == 2
@@ -179,7 +228,7 @@ class TestAccessLog:
         with serving(access_log=log_path) as client:
             status, _, _ = client.request("POST", "/run", {"seed": 1})
             assert status == 400
-        _, records = read_log(log_path)
+        records = read_stream(log_path).records
         access = [r for r in records if r["event"] == "http.access"]
         assert access[0]["fields"]["status"] == 400
         assert access[0]["fields"]["route"] == "run"

@@ -9,13 +9,17 @@ never desyncs a keep-alive connection, and ``/metrics`` exposes it all.
 """
 
 import json
+import socket
+import struct
 import threading
 import time
 from http.client import HTTPConnection
 
 import pytest
 
+from repro.obs import log_hub
 from repro.resilience import ChaosPolicy
+from repro.serve import server as server_module
 from repro.serve.protocol import MAX_BODY_BYTES
 
 from .client import serving
@@ -246,3 +250,72 @@ class TestGracefulDrain:
             status, _, raw = results["response"]
             assert status == 200
             assert json.loads(raw)["kind"] == "run"
+
+
+class TestClientGone:
+    def test_client_leaving_mid_sweep_is_not_a_server_failure(
+        self, monkeypatch
+    ):
+        # A client that reads the response headers and then resets the
+        # connection: the daemon must free its slot and log the leave,
+        # not count a 500, log a failure or print a traceback.
+        handle_errors = []
+        monkeypatch.setattr(
+            server_module._Server,
+            "handle_error",
+            lambda self, request, address: handle_errors.append(address),
+        )
+        closed = threading.Event()
+        shutdown_request = server_module._Server.shutdown_request
+
+        def shutdown_and_signal(self, request):
+            shutdown_request(self, request)
+            closed.set()
+
+        monkeypatch.setattr(
+            server_module._Server, "shutdown_request", shutdown_and_signal
+        )
+        records = []
+        log_hub.add_sink(records.append)
+        try:
+            with serving() as client:
+                body = json.dumps({
+                    "scenario": dict(SCENARIO, n=8, f=2),
+                    "seed_start": 0,
+                    "seed_count": 48,
+                }).encode()
+                sock = socket.create_connection((client.host, client.port))
+                try:
+                    sock.sendall(
+                        b"POST /sweep HTTP/1.1\r\nHost: test\r\n"
+                        b"Content-Type: application/json\r\n"
+                        + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                        + body
+                    )
+                    head = b""
+                    while b"\r\n\r\n" not in head:
+                        data = sock.recv(4096)
+                        assert data, "daemon closed before the headers"
+                        head += data
+                    assert head.startswith(b"HTTP/1.1 200")
+                    # SO_LINGER 0: close() sends a reset, not a FIN.
+                    sock.setsockopt(
+                        socket.SOL_SOCKET,
+                        socket.SO_LINGER,
+                        struct.pack("ii", 1, 0),
+                    )
+                finally:
+                    sock.close()
+                # The handler has left once its connection is shut down.
+                assert closed.wait(timeout=120)
+                assert client.server.admission.inflight == 0
+                requests = client.metrics()["requests"]
+        finally:
+            log_hub.remove_sink(records.append)
+        assert "serve.errors.status.500" not in requests
+        assert "serve.sweep.errors" not in requests
+        gone = [r for r in records if r["event"] == "http.client_gone"]
+        assert len(gone) == 1
+        assert gone[0]["fields"]["route"] == "sweep"
+        assert gone[0]["fields"]["request_id"]
+        assert handle_errors == []

@@ -7,6 +7,7 @@ import pytest
 
 from repro.experiments.runner import Scenario, run_batch, run_scenario
 from repro.geometry import kernels
+from repro.resilience import TraceFormatError
 from repro.sim import Trace
 from repro.sim.replay import (
     compare_traces,
@@ -112,10 +113,14 @@ class TestReplay:
         trace = recorded_trace()
         data = json.loads(trace.to_json())
         payload = {"format": "repro-trace-v1", "records": data["records"]}
-        legacy = Trace.from_json(json.dumps(payload))
-        assert legacy.meta is None
+        with pytest.raises(TraceFormatError, match="repro-trace-v1"):
+            Trace.from_json(json.dumps(payload))
+        # A v2 trace without meta still loads, but cannot be replayed.
+        data["meta"] = None
+        metaless = Trace.from_json(json.dumps(data))
+        assert metaless.meta is None
         with pytest.raises(ValueError, match="meta"):
-            replay_trace(legacy)
+            replay_trace(metaless)
 
 
 class TestArchiveCorpus:
