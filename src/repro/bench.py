@@ -12,16 +12,15 @@ Each run document carries ``platform``, ``python_version``,
 ``numpy_version`` and ``cpu_count``, then these sections:
 
 ``round_throughput``
-    One entry per (backend, n): seconds for one fully-synchronous
-    ATOM round of ``wait-free-gather`` on a random workload, and the
-    derived ``robots_per_s``.
+    One entry per n: seconds for one fully-synchronous ATOM round of
+    ``wait-free-gather`` on a random workload on the scalar engine, and
+    the derived ``robots_per_s``.
 ``batch_round_throughput``
-    One entry per (backend, n): seconds for one vectorized
+    One entry per n: seconds for one vectorized
     :class:`~repro.sim.BatchedSimulation` round stepping ``n_sims``
     seeds at once, plus the derived ``per_seed_round_s`` and
-    ``seed_rounds_per_s``.  Measured on the numpy backend only — the
-    batched engine exists to amortize kernel calls across sims, which
-    the python backend cannot do.
+    ``seed_rounds_per_s``.  Empty when NumPy is not installed, which
+    the batched engine needs.
 ``serve_request_latency``
     Cold-vs-warm ``POST /run`` latency against an in-process
     ``repro serve`` daemon on an ephemeral port: ``cold_s`` is the
@@ -33,9 +32,9 @@ Each run document carries ``platform``, ``python_version``,
     once), once with ``--max-inflight`` admission control and once
     unbounded: p50/p99/max plus the shed count per mode.
 ``speedups``
-    Python-over-numpy ratios of the round times per size (only when
-    both backends ran), plus batched-over-scalar per-seed-round ratios
-    (``metric: "batch_round_throughput"``) when the batched rounds ran.
+    Batched-over-scalar per-seed-round ratios per size
+    (``metric: "batch_round_throughput"``): ``scalar_round_s`` over
+    ``batched_per_seed_s``, when the batched rounds ran.
 
 Timing methodology: wall-clock ``time.perf_counter`` around the call.
 One round is seconds to minutes of work at the larger sizes, so rounds
@@ -83,7 +82,7 @@ DEFAULT_SIZES = [16, 64, 256]
 QUICK_SIZES = [16, 64]
 
 #: Workload seed shared by all benchmarks: timings are comparable across
-#: runs and backends because everybody measures the same point set.
+#: runs and engines because everybody measures the same point set.
 _SEED = 42
 
 #: Sims stepped together per batched-round measurement, by team size:
@@ -287,52 +286,36 @@ def _serve_shed_latency(threads: int = 8, per_thread: int = 4) -> List[Dict]:
 
 def run_bench(
     sizes: Optional[Sequence[int]] = None,
-    backends: Optional[Sequence[str]] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> Dict:
     """Run the full benchmark matrix and return the JSON-ready document."""
     sizes = list(sizes if sizes is not None else DEFAULT_SIZES)
-    backends = list(backends if backends is not None else kernels.available_backends())
     say = progress or (lambda message: None)
-
-    numpy_version = None
-    if "numpy" in kernels.available_backends():
-        import numpy
-
-        numpy_version = numpy.__version__
+    numpy = kernels.numpy_module()
 
     round_throughput: List[Dict] = []
-    for backend_name in backends:
-        with kernels.backend(backend_name):
-            for n in sizes:
-                say(f"round backend={backend_name} n={n}")
-                round_s = _one_round_seconds(n)
-                round_throughput.append(
-                    {
-                        "backend": backend_name,
-                        "n": n,
-                        "round_s": round_s,
-                        "robots_per_s": n / round_s,
-                    }
-                )
+    for n in sizes:
+        say(f"round n={n}")
+        round_s = _one_round_seconds(n)
+        round_throughput.append(
+            {"n": n, "round_s": round_s, "robots_per_s": n / round_s}
+        )
 
     batch_round_throughput: List[Dict] = []
-    if "numpy" in backends and "numpy" in kernels.available_backends():
-        with kernels.backend("numpy"):
-            for n in sizes:
-                n_sims = _BATCH_SIMS.get(n, max(2, 1024 // max(n, 1)))
-                say(f"batched round backend=numpy n={n} sims={n_sims}")
-                round_s = _batched_round_seconds(n, n_sims)
-                batch_round_throughput.append(
-                    {
-                        "backend": "numpy",
-                        "n": n,
-                        "n_sims": n_sims,
-                        "round_s": round_s,
-                        "per_seed_round_s": round_s / n_sims,
-                        "seed_rounds_per_s": n_sims / round_s,
-                    }
-                )
+    if numpy is not None:
+        for n in sizes:
+            n_sims = _BATCH_SIMS.get(n, max(2, 1024 // max(n, 1)))
+            say(f"batched round n={n} sims={n_sims}")
+            round_s = _batched_round_seconds(n, n_sims)
+            batch_round_throughput.append(
+                {
+                    "n": n,
+                    "n_sims": n_sims,
+                    "round_s": round_s,
+                    "per_seed_round_s": round_s / n_sims,
+                    "seed_rounds_per_s": n_sims / round_s,
+                }
+            )
 
     say("serve request latency (cold vs warm)")
     serve_request_latency = _serve_request_latency()
@@ -340,47 +323,26 @@ def run_bench(
     say("serve shed latency (overload, admission on/off)")
     serve_shed_latency = _serve_shed_latency()
 
-    speedups: List[Dict] = []
-    by_size: Dict[int, Dict[str, float]] = {}
-    for entry in round_throughput:
-        by_size.setdefault(entry["n"], {})[entry["backend"]] = entry["round_s"]
-    for n in sizes:
-        times = by_size.get(n, {})
-        if "python" in times and "numpy" in times:
-            speedups.append(
-                {
-                    "metric": "round_throughput",
-                    "n": n,
-                    "python_s": times["python"],
-                    "numpy_s": times["numpy"],
-                    "speedup": times["python"] / times["numpy"],
-                }
-            )
-    batch_by_size = {entry["n"]: entry for entry in batch_round_throughput}
-    for n in sizes:
-        times = by_size.get(n, {})
-        batch = batch_by_size.get(n)
-        if batch is not None and "numpy" in times:
-            speedups.append(
-                {
-                    "metric": "batch_round_throughput",
-                    "n": n,
-                    "scalar_numpy_s": times["numpy"],
-                    "batched_per_seed_s": batch["per_seed_round_s"],
-                    "speedup": times["numpy"] / batch["per_seed_round_s"],
-                }
-            )
+    speedups = [
+        {
+            "metric": "batch_round_throughput",
+            "n": batch["n"],
+            "scalar_round_s": scalar["round_s"],
+            "batched_per_seed_s": batch["per_seed_round_s"],
+            "speedup": scalar["round_s"] / batch["per_seed_round_s"],
+        }
+        for scalar, batch in zip(round_throughput, batch_round_throughput)
+    ]
 
     return {
         "schema": SCHEMA,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "python_version": sys.version.split()[0],
-        "numpy_version": numpy_version,
+        "numpy_version": numpy.__version__ if numpy is not None else None,
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
         "workload": {"kind": "random", "seed": _SEED},
         "sizes": sizes,
-        "backends": backends,
         "round_throughput": round_throughput,
         "batch_round_throughput": batch_round_throughput,
         "serve_request_latency": serve_request_latency,

@@ -18,14 +18,12 @@ Three subcommands:
 
 ``bench``
     Measure the published scaling numbers (scalar, batched and serve)
-    over every available kernel backend and append them to
-    ``BENCH_micro.json``.
+    and append them to ``BENCH_micro.json``.
 
 ``check``
     The reproducibility gate: re-simulate archived traces and verify
-    bit-identical replay (``--replay``, ``--corpus``), run the invariant
-    suite over archives offline (``--invariants``), and diff the two
-    kernel backends on a scenario in subprocesses (``--diff``).
+    bit-identical replay (``--replay``, ``--corpus``) and run the
+    invariant suite over archives offline (``--invariants``).
 
 ``sweep``
     Run one scenario over a seed range under the resilient execution
@@ -88,7 +86,7 @@ from .experiments.runner import (
     make_scheduler,
     run_scenario,
 )
-from .geometry import DEFAULT_TOLERANCE, kernels
+from .geometry import DEFAULT_TOLERANCE
 from .resilience import ReproError, RunPolicy, SweepJournal, TraceFormatError
 from .sim import Simulation
 from .sim.trace import TraceMeta
@@ -205,15 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="replay archived traces, verify invariants, diff backends",
+        help="replay archived traces and verify invariants",
         description=(
             "Reproducibility gate.  Modes (combine freely): --replay / "
             "--corpus re-simulate archived v2 traces and require "
             "bit-identical executions; --invariants runs the proof-"
-            "obligation checkers over archives offline; --diff runs one "
-            "scenario under both kernel backends in subprocesses and "
-            "reports the first divergent round with a minimized "
-            "reproduction command.  Exits non-zero on any mismatch."
+            "obligation checkers over archives offline.  Exits non-zero "
+            "on any mismatch."
         ),
     )
     check.add_argument("--replay", metavar="TRACE", nargs="+", default=[],
@@ -224,32 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "over (offline, no re-simulation)")
     check.add_argument("--corpus", metavar="DIR", default=None,
                        help="replay + verify every *.json trace in DIR")
-    check.add_argument("--backend", default="recorded",
-                       choices=["recorded", "python", "numpy", "both"],
-                       help="backend(s) to replay on (default: the one "
-                            "the trace was recorded with)")
-    check.add_argument("--diff", action="store_true",
-                       help="differential backend check for the scenario "
-                            "given by the flags below")
-    check.add_argument("--workload", default="random", choices=sorted(CLASS_GENERATORS))
-    check.add_argument("--n", type=int, default=8)
-    check.add_argument("--algorithm", default="wait-free-gather", choices=sorted(ALGORITHMS))
-    check.add_argument("--scheduler", default="random",
-                       choices=_SCHEDULER_CHOICES)
-    check.add_argument("--crashes", default="random",
-                       choices=["none", "random", "after-move", "elected"])
-    check.add_argument("--f", type=int, default=0)
-    check.add_argument("--movement", default="random-stop",
-                       choices=_MOVEMENT_CHOICES)
-    check.add_argument("--seeds", type=int, nargs="+", default=[0],
-                       metavar="SEED", help="seeds for --diff")
-    check.add_argument("--max-rounds", type=int, default=20_000)
-    _add_visibility_flag(check)
-    check.add_argument("--emit-trace", metavar="SCENARIO_JSON", default=None,
-                       help=argparse.SUPPRESS)  # internal recorder mode
-    check.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
-    check.add_argument("--out", metavar="PATH", default=None,
-                       help=argparse.SUPPRESS)
 
     render = sub.add_parser(
         "render", help="render a simulation run (or a snapshot) as SVG"
@@ -496,8 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one scenario instrumented and print profile tables",
         description=(
             "Runs the scenario with the observability layer enabled and "
-            "prints per-kernel call counts and wall time, per-class "
-            "round counts, and Weber solver statistics."
+            "prints per-class round counts and Weber solver statistics."
         ),
     )
     prof.add_argument("--workload", default="random", choices=sorted(CLASS_GENERATORS))
@@ -514,11 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--max-rounds", type=int, default=20_000)
     prof.add_argument("--engine", default="atom", choices=["atom", "async"])
     _add_visibility_flag(prof)
-    prof.add_argument("--backend", default="auto",
-                      choices=["auto", "python", "numpy"],
-                      help="kernel backend to profile on (auto: numpy when "
-                           "available — the python backend bypasses the "
-                           "kernels entirely, leaving the kernel table empty)")
     prof.add_argument("--obs-jsonl", metavar="PATH", default=None,
                       help="also write the round-event stream to PATH")
     prof.add_argument("--spans-jsonl", metavar="PATH", default=None,
@@ -728,19 +692,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     write_bench(document, args.output)
     print(f"wrote {args.output}")
     for entry in document["speedups"]:
-        if entry.get("metric") == "batch_round_throughput":
-            print(
-                f"n={entry['n']}: scalar numpy "
-                f"{entry['scalar_numpy_s']:.3f}s vs batched "
-                f"{entry['batched_per_seed_s']:.3f}s per seed-round "
-                f"-> {entry['speedup']:.1f}x"
-            )
-        else:
-            print(
-                f"n={entry['n']}: python {entry['python_s']:.3f}s vs "
-                f"numpy {entry['numpy_s']:.3f}s per round "
-                f"-> {entry['speedup']:.1f}x"
-            )
+        print(
+            f"n={entry['n']}: scalar {entry['scalar_round_s']:.3f}s vs "
+            f"batched {entry['batched_per_seed_s']:.3f}s per seed-round "
+            f"-> {entry['speedup']:.1f}x"
+        )
     return 0
 
 
@@ -767,43 +723,13 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_backends(choice: str, recorded: str) -> List[str]:
-    if choice == "recorded":
-        return [recorded]
-    if choice == "both":
-        return ["python", "numpy"]
-    return [choice]
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     from .analysis import InvariantViolation, verify_trace
-    from .sim.replay import (
-        differential_check,
-        load_trace,
-        replay_trace,
-        save_trace,
-    )
-
-    # Internal recorder mode: called in a subprocess by the differential
-    # checker so each backend is resolved from a clean import.
-    if args.emit_trace:
-        if not args.out:
-            print("error: --emit-trace requires --out", file=sys.stderr)
-            return 2
-        with open(args.emit_trace, "r", encoding="utf-8") as handle:
-            scenario = Scenario.from_dict(json.load(handle))
-        result = run_scenario(scenario, args.seed, record_trace=True)
-        save_trace(result.trace, args.out)
-        print(f"recorded {len(result.trace)} rounds -> {args.out}")
-        return 0
+    from .sim.replay import load_trace, replay_trace
 
     replay_paths = list(args.replay)
     if args.corpus:
-        corpus = sorted(
-            path
-            for path in glob.glob(os.path.join(args.corpus, "*.json"))
-            if not path.endswith(".scenario.json")
-        )
+        corpus = sorted(glob.glob(os.path.join(args.corpus, "*.json")))
         if not corpus:
             print(f"error: no traces in corpus {args.corpus!r}", file=sys.stderr)
             return 2
@@ -814,10 +740,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         # Corpus traces get the full treatment: replay AND invariants.
         invariant_paths.extend(p for p in replay_paths if p not in invariant_paths)
 
-    if not (replay_paths or invariant_paths or args.diff):
+    if not (replay_paths or invariant_paths):
         print(
-            "error: nothing to do — pass --replay, --invariants, "
-            "--corpus and/or --diff",
+            "error: nothing to do — pass --replay, --invariants "
+            "and/or --corpus",
             file=sys.stderr,
         )
         return 2
@@ -825,12 +751,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     failures = 0
 
     for path in replay_paths:
-        trace = load_trace(path)
-        recorded = trace.meta.backend if trace.meta else "python"
-        for backend in _check_backends(args.backend, recorded):
-            report = replay_trace(trace, backend=backend, path=path)
-            print(f"{path}: {report.describe()}")
-            failures += 0 if report.ok else 1
+        report = replay_trace(load_trace(path), path=path)
+        print(f"{path}: {report.describe()}")
+        failures += 0 if report.ok else 1
 
     for path in invariant_paths:
         trace = load_trace(path)
@@ -850,23 +773,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 f"{path}: invariants ok "
                 f"({monitor.rounds_checked} rounds checked)"
             )
-
-    if args.diff:
-        scenario = Scenario(
-            workload=args.workload,
-            n=args.n,
-            algorithm=args.algorithm,
-            scheduler=args.scheduler,
-            crashes=args.crashes,
-            f=args.f,
-            movement=args.movement,
-            max_rounds=args.max_rounds,
-            visibility=args.visibility,
-        )
-        for seed in args.seeds:
-            report = differential_check(scenario, seed)
-            print(report.describe())
-            failures += 0 if report.ok else 1
 
     if failures:
         print(f"check FAILED: {failures} problem(s)", file=sys.stderr)
@@ -1084,7 +990,7 @@ def _cmd_serve_store(args: argparse.Namespace) -> int:
         else:
             print(
                 f"{report['root']}: {report['checked']} checked, "
-                f"{report['ok']} ok, {report['legacy']} legacy, "
+                f"{report['ok']} ok, "
                 f"{report['corrupt']} corrupt "
                 f"({report['quarantined']} quarantined), "
                 f"{report['unreadable']} unreadable"
@@ -1432,30 +1338,19 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         engine=args.engine,
         visibility=args.visibility,
     )
-    backend = args.backend
-    if backend == "auto":
-        backend = (
-            "numpy"
-            if "numpy" in kernels.available_backends()
-            else "python"
-        )
     obs.metrics.reset()
     engine_seed = scenario.engine_seed(args.seed)
-    with kernels.backend(backend):
-        with obs.observability(
-            jsonl=args.obs_jsonl,
-            spans_jsonl=args.spans_jsonl,
-            meta=_scenario_meta(scenario, args.seed, engine_seed)
-            if args.obs_jsonl or args.spans_jsonl
-            else None,
-        ):
-            start = time.perf_counter()
-            result = run_scenario(scenario, args.seed)
-            elapsed = time.perf_counter() - start
-    print(
-        f"profile    : {scenario.label()} seed={args.seed} "
-        f"backend={backend}"
-    )
+    with obs.observability(
+        jsonl=args.obs_jsonl,
+        spans_jsonl=args.spans_jsonl,
+        meta=_scenario_meta(scenario, args.seed, engine_seed)
+        if args.obs_jsonl or args.spans_jsonl
+        else None,
+    ):
+        start = time.perf_counter()
+        result = run_scenario(scenario, args.seed)
+        elapsed = time.perf_counter() - start
+    print(f"profile    : {scenario.label()} seed={args.seed}")
     print(f"verdict    : {result.verdict} in {result.rounds} rounds "
           f"({elapsed:.3f}s wall)")
     print()

@@ -32,7 +32,6 @@ from ..geometry import (
     Point,
     Tolerance,
     all_collinear,
-    kernels,
     smallest_enclosing_circle,
 )
 
@@ -44,10 +43,8 @@ def _merge_clusters(points: Sequence[Point], tol: Tolerance) -> Dict[Point, Poin
 
     Union-find over pairs closer than ``eps_dist``; representative is the
     lexicographic minimum of the cluster, which makes the merge
-    independent of the order near-pairs are discovered in.  The reference
-    backend scans all pairs (quadratic in ``n``, fine for robot-team
-    sizes); the numpy backend gets the near-pairs from the grid-bucketed
-    :func:`repro.geometry.kernels.near_pairs` kernel instead.
+    independent of the order near-pairs are discovered in.  All pairs are
+    scanned (quadratic in ``n``, fine for robot-team sizes).
     """
     pts = list(points)
     parent = list(range(len(pts)))
@@ -63,16 +60,10 @@ def _merge_clusters(points: Sequence[Point], tol: Tolerance) -> Dict[Point, Poin
         if ri != rj:
             parent[rj] = ri
 
-    if kernels.enabled_for(len(pts)):
-        for i, j in kernels.near_pairs(
-            [(p.x, p.y) for p in pts], tol.eps_dist
-        ):
-            union(i, j)
-    else:
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if pts[i].distance_to(pts[j]) <= tol.eps_dist:
-                    union(i, j)
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if pts[i].distance_to(pts[j]) <= tol.eps_dist:
+                union(i, j)
 
     rep_of_root: Dict[int, Point] = {}
     for i, p in enumerate(pts):
@@ -108,7 +99,6 @@ class Configuration:
         "_sorted",
         "_hash",
         "_cache",
-        "_cache_backend",
     )
 
     def __init__(
@@ -143,14 +133,7 @@ class Configuration:
         self._hash: Optional[int] = None
         # Free-form memo used by the higher layers (views, classification,
         # quasi-regularity); keyed by strings private to each module.
-        # Entries are only valid under the kernel backend they were
-        # computed with: the numpy and reference paths agree to tolerance
-        # but not to the bit, so a memo warmed under one backend must not
-        # leak into runs under the other (e.g. `repro check --backend
-        # both` replaying one shared trace).  The cache is stamped with
-        # the active backend and dropped wholesale when it changes.
         self._cache: Dict[str, object] = {}
-        self._cache_backend: str = kernels.get_backend()
 
     # -- basic multiset interface -------------------------------------------
 
@@ -278,7 +261,6 @@ class Configuration:
         configuration, and re-deriving the full tower per robot would
         dominate the simulation time.
         """
-        self._validate_cache_backend()
         if key not in self._cache:
             self._cache[key] = compute()
         return self._cache[key]
@@ -290,20 +272,15 @@ class Configuration:
         configurations' towers with one vectorized kernel call) skip
         configurations whose value already exists.
         """
-        self._validate_cache_backend()
         return self._cache.get(key, default)
 
     def _validate_cache_backend(self) -> None:
-        """Drop memos computed under a different kernel backend.
+        """No-op kept for ``perfbench/layers.py::_memo_counter``.
 
-        One attribute read on the hot path; the invalidation itself only
-        runs when ``REPRO_BACKEND`` (or a ``kernels.backend()`` context)
-        actually flipped mid-process while this configuration was alive.
+        That benchmark calls it before it peeks at ``_cache`` on every
+        traced run.  Memos do not depend on any kernel backend, so there
+        is nothing to drop.
         """
-        backend = kernels.get_backend()
-        if backend != self._cache_backend:
-            self._cache.clear()
-            self._cache_backend = backend
 
     # -- construction helpers -------------------------------------------------
 

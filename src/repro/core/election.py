@@ -18,38 +18,11 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Tuple
 
-from ..geometry import Point, kernels, sum_of_distances
+from ..geometry import Point, sum_of_distances
 from .configuration import Configuration
 from .views import View, view_of
 
 __all__ = ["election_key", "elect"]
-
-
-def _distance_sum(config: Configuration, p: Point) -> float:
-    """Sum of distances from ``p`` to all robots.
-
-    Election scans every candidate, so the naive per-candidate sum is
-    quadratic in ``n``; under the numpy backend the whole support's
-    distance sums come from one batch kernel call, memoized on the
-    configuration.
-    """
-    if kernels.enabled_for(config.n):
-        located = config.locate(p)
-        if located is not None:
-            sums = config.memo(
-                "dist_sums",
-                lambda: dict(
-                    zip(
-                        config.support,
-                        kernels.distance_sums(
-                            [(q.x, q.y) for q in config.support],
-                            [(q.x, q.y) for q in config.points],
-                        ),
-                    )
-                ),
-            )
-            return sums[located]
-    return sum_of_distances(p, config.points)
 
 
 def election_key(config: Configuration, p: Point) -> Tuple[int, float, View]:
@@ -61,7 +34,7 @@ def election_key(config: Configuration, p: Point) -> Tuple[int, float, View]:
     is quantized so that robots computing it in different frames (after
     normalization) agree bitwise-stably.
     """
-    dist_sum = _distance_sum(config, p)
+    dist_sum = sum_of_distances(p, config.points)
     return (
         config.mult(p),
         -config.tol.quantize_length(dist_sum),

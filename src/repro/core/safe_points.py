@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Tuple
 
-from ..geometry import TWO_PI, Point, direction_angle, kernels, normalize_angle
+from ..geometry import TWO_PI, Point, direction_angle, normalize_angle
 from .configuration import Configuration
 from .successor import MAX_ANGULAR_RESOLUTION, ray_structure
 
@@ -46,23 +46,10 @@ def all_max_ray_loads(config: Configuration) -> List[int]:
     """Max ray load of every support point, in support order (memoized).
 
     The scan over all occupied positions is the hot loop of safe-point
-    detection; under the numpy backend one batch kernel call replaces
-    the per-center :func:`~repro.core.successor.ray_structure` walks.
+    detection; the batched engine seeds this memo from one sims-axis
+    kernel call (:meth:`repro.sim.batch.BatchedSimulation._seed_asymmetric`).
     """
-
-    def compute() -> List[int]:
-        tol = config.tol
-        if kernels.enabled_for(len(config.support)):
-            return kernels.max_ray_loads(
-                [(p.x, p.y) for p in config.support],
-                [config.mult(p) for p in config.support],
-                tol.eps_dist,
-                tol.eps_angle,
-                MAX_ANGULAR_RESOLUTION,
-            )
-        return _max_ray_loads_python(config)
-
-    return config.memo("ray_loads", compute)
+    return config.memo("ray_loads", lambda: _max_ray_loads_python(config))
 
 
 def _support_polar(config: Configuration):

@@ -33,7 +33,6 @@ from ..geometry import (
     Point,
     Tolerance,
     clockwise_angle,
-    kernels,
 )
 from .configuration import Configuration
 
@@ -113,20 +112,8 @@ def _compute_view_table(config: Configuration) -> Dict[Point, View]:
             center_points.append(p)
         else:
             outer.append(p)
-    if outer and kernels.enabled_for(config.n):
-        # One batch kernel call serializes every non-central origin at
-        # once; the scalar path below is the reference it must match.
-        views = kernels.batch_polar_views(
-            [(p.x, p.y) for p in outer],
-            [(q.x, q.y) for q in config.points],
-            (c.x, c.y),
-            tol.eps_dist,
-            tol.eps_angle,
-        )
-        table.update(zip(outer, views))
-    else:
-        for p in outer:
-            table[p] = _polar_view(config, p, c)
+    for p in outer:
+        table[p] = _polar_view(config, p, c)
 
     if center_points:
         # Reference for a central position: an occupied position with

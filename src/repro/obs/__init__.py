@@ -18,8 +18,8 @@ events
 
 metrics
     A process-wide registry of counters and running aggregates
-    (:mod:`repro.obs.metrics`).  The geometry kernels record per-kernel
-    call counts and wall time with the active backend label, the Weber
+    (:mod:`repro.obs.metrics`).  The batched engine's NumPy kernels
+    record per-kernel call counts and wall time, the Weber
     solver records Weiszfeld iteration counts and convergence residuals,
     and the experiment runner records per-worker throughput.
 
@@ -59,9 +59,8 @@ runner can all import ``repro.obs`` without cycles.
 imports to call time for the same reason.
 
 The toggle is exported to ``REPRO_OBS`` in the environment on
-:func:`enable`, mirroring the kernel-backend pinning of the experiment
-runner: worker subprocesses resolve the flag at import time, so a sweep
-profiled with ``--workers N`` instruments every worker.
+:func:`enable`: worker subprocesses resolve the flag at import time, so
+a sweep profiled with ``--workers N`` instruments every worker.
 
 Instrumentation never changes results: events and metrics are derived
 from values the simulation already computed, and the CI ``obs`` job
@@ -75,6 +74,8 @@ import os
 import time
 from contextlib import contextmanager
 from typing import Iterator, Optional
+
+from ..resilience import OutputPathError
 
 from .aggregate import (
     SWEEP_METRICS_SCHEMA,
@@ -226,19 +227,26 @@ def observability(
     dict) becomes their join header.  The previous toggle value is
     restored on exit.
     """
+    # Open every stream before hooking any up, so a path that cannot be
+    # written leaves nothing registered behind its error.
+    events = spans = None
+    try:
+        if jsonl:
+            events = JsonlStream(jsonl, OBS_SCHEMA, meta)
+        if spans_jsonl:
+            spans = JsonlStream(spans_jsonl, SPANS_SCHEMA, meta)
+    except OutputPathError:
+        if events is not None:
+            events.close()
+        raise
     hooks = []
-    streams = []
-    if jsonl:
-        events = JsonlStream(jsonl, OBS_SCHEMA, meta)
-        streams.append(events)
+    if events is not None:
         hooks.append(on_round(lambda event: events.write(event.to_dict())))
         hooks.append(
             on_run_end(lambda summary: events.write({"run_end": summary}))
         )
     write_span = None
-    if spans_jsonl:
-        spans = JsonlStream(spans_jsonl, SPANS_SCHEMA, meta)
-        streams.append(spans)
+    if spans is not None:
         write_span = tracer.add_sink(
             lambda span: spans.write(span.to_dict())
         )
@@ -253,8 +261,9 @@ def observability(
             remove_hook(hook)
         if write_span is not None:
             tracer.remove_sink(write_span)
-        for stream in streams:
-            stream.close()
+        for stream in (events, spans):
+            if stream is not None:
+                stream.close()
 
 
 # -- recording entry points (callers guard on ``state.enabled``) -------------

@@ -42,7 +42,12 @@ import json
 import threading
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from ..resilience import TraceFormatError, fsync_handle, promote
+from ..resilience import (
+    OutputPathError,
+    TraceFormatError,
+    fsync_handle,
+    promote,
+)
 from .events import OBS_SCHEMA, RoundEvent
 from .log import LOG_SCHEMA, get_logger
 from .spans import SPANS_SCHEMA
@@ -113,7 +118,13 @@ class JsonlStream:
         #: ``"<ExceptionType>: <message>"`` of the failure that
         #: quarantined the stream, or ``None`` while it is healthy.
         self._error: Optional[str] = None
-        self._handle = open(self._target, "w", encoding="utf-8")
+        try:
+            self._handle = open(self._target, "w", encoding="utf-8")
+        except OSError as exc:
+            raise OutputPathError(
+                f"cannot write {schema} output {path}: "
+                f"{exc.strerror or exc}"
+            ) from exc
         self.write({"format": schema, "meta": meta})
 
     def write(self, record: dict) -> None:

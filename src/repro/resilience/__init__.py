@@ -21,6 +21,7 @@ from .atomic import atomic_write, fsync_handle, promote
 from .chaos import CHAOS_ENV, KILL_EXIT_CODE, ChaosPolicy
 from .errors import (
     ChaosInjectedError,
+    OutputPathError,
     ReproError,
     RequestDeadlineError,
     SeedTimeoutError,
@@ -41,6 +42,7 @@ __all__ = [
     "ServerOverloadedError",
     "ServerDrainingError",
     "RequestDeadlineError",
+    "OutputPathError",
     "atomic_write",
     "fsync_handle",
     "promote",

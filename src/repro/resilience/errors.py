@@ -25,6 +25,7 @@ __all__ = [
     "ServerOverloadedError",
     "ServerDrainingError",
     "RequestDeadlineError",
+    "OutputPathError",
 ]
 
 
@@ -123,6 +124,17 @@ class RequestDeadlineError(ReproError, TimeoutError):
     """
 
     http_status = 504
+
+
+class OutputPathError(ReproError, OSError):
+    """An output file the user named (a telemetry stream, an access
+    log) cannot be created, e.g. because its directory does not exist.
+
+    Exit code 2, like an argparse usage error: the path was wrong, not
+    the computation.
+    """
+
+    exit_code = 2
 
 
 class TraceFormatError(ReproError, ValueError):

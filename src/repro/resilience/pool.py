@@ -232,13 +232,9 @@ class ResilientExecutor:
         workers: Optional[int] = None,
         *,
         policy: Optional[RunPolicy] = None,
-        initializer: Optional[Callable] = None,
-        initargs: tuple = (),
     ) -> None:
         self.workers = workers or 0
         self.policy = policy or DEFAULT_POLICY
-        self._initializer = initializer
-        self._initargs = initargs
         self._pool: Optional[ProcessPoolExecutor] = None
         self.rebuilds = 0
 
@@ -250,11 +246,7 @@ class ResilientExecutor:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=self._initializer,
-                initargs=self._initargs,
-            )
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 
     def _kill_pool(self) -> None:

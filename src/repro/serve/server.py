@@ -64,7 +64,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import __version__
 from .. import obs as _obs
 from ..experiments.runner import Scenario, run_scenario, executor
-from ..geometry import kernels
 from ..obs.aggregate import Aggregator, namespace_delta
 from ..obs.histogram import Histogram
 from ..obs.log import LOG_SCHEMA, get_logger
@@ -74,6 +73,7 @@ from ..obs.sink import JsonlStream
 from ..obs.spans import SPANS_SCHEMA
 from ..resilience import (
     ChaosPolicy,
+    OutputPathError,
     ReproError,
     RequestDeadlineError,
     RunPolicy,
@@ -83,6 +83,7 @@ from ..resilience import (
     TraceFormatError,
     WorkerCrashError,
 )
+from ..sim.trace import BACKEND
 from . import protocol
 from .admission import (
     AdmissionController,
@@ -155,6 +156,25 @@ class ReproServer:
         access_log: Optional[str] = None,
         trace_jsonl: Optional[str] = None,
     ) -> None:
+        # Telemetry files open first: a path that cannot be written then
+        # fails before any pool, log sink or obs state exists.
+        meta = {"source": "repro-serve", "version": __version__}
+        self._access_sink: Optional[JsonlStream] = None
+        if access_log:
+            self._access_sink = JsonlStream(access_log, LOG_SCHEMA, meta)
+        #: Per-request span trees stream here (one repro-spans-v1 file
+        #: shared by all handler threads); ``None`` disables request
+        #: tracing entirely — no span objects are built.
+        self._trace_writer: Optional[JsonlStream] = None
+        if trace_jsonl:
+            try:
+                self._trace_writer = JsonlStream(
+                    trace_jsonl, SPANS_SCHEMA, meta
+                )
+            except OutputPathError:
+                if self._access_sink is not None:
+                    self._access_sink.close()
+                raise
         self.policy = policy or RunPolicy()
         if chaos is None:
             chaos = ChaosPolicy.from_env()
@@ -202,17 +222,8 @@ class ReproServer:
         # request, never rate-limited (the hub's limiter is for hot
         # failure paths; ``http.line``/``http.error`` stay capped).
         log_hub.rate_exempt.add("http.access")
-        meta = {"source": "repro-serve", "version": __version__}
-        self._access_sink: Optional[JsonlStream] = None
-        if access_log:
-            self._access_sink = JsonlStream(access_log, LOG_SCHEMA, meta)
+        if self._access_sink is not None:
             log_hub.add_sink(self._access_sink.write)
-        #: Per-request span trees stream here (one repro-spans-v1 file
-        #: shared by all handler threads); ``None`` disables request
-        #: tracing entirely — no span objects are built.
-        self._trace_writer: Optional[JsonlStream] = None
-        if trace_jsonl:
-            self._trace_writer = JsonlStream(trace_jsonl, SPANS_SCHEMA, meta)
         self.started = time.monotonic()
         self._serving = threading.Event()
         self.httpd = _Server((host, port), _Handler)
@@ -351,11 +362,10 @@ class ReproServer:
         the leader's body *the* body, so followers lose nothing but the
         redundant work.
         """
-        backend = kernels.get_backend()
         key = result_key(
             scenario.to_dict(),
             seed,
-            backend=backend,
+            backend=BACKEND,
             engine=scenario.engine,
             code_version=__version__,
         )
@@ -423,12 +433,11 @@ class ReproServer:
         """
         if deadline is not None:
             deadline.check("before resolving a seed block")
-        backend = kernels.get_backend()
         keys = [
             result_key(
                 scenario.to_dict(),
                 seed,
-                backend=backend,
+                backend=BACKEND,
                 engine=scenario.engine,
                 code_version=__version__,
             )
@@ -460,7 +469,7 @@ class ReproServer:
                     scenario,
                     seed,
                     result,
-                    backend=backend,
+                    backend=BACKEND,
                     code_version=__version__,
                 )
                 if use_cache:
@@ -485,7 +494,7 @@ class ReproServer:
             scenario,
             seed,
             result,
-            backend=kernels.get_backend(),
+            backend=BACKEND,
             code_version=__version__,
         )
 
@@ -647,7 +656,7 @@ class ReproServer:
             "schema": "repro-serve-metrics-v1",
             "version": __version__,
             "uptime_s": time.monotonic() - self.started,
-            "backend": kernels.get_backend(),
+            "backend": BACKEND,
             "requests": dict(sorted(counters.items())),
             "request_latency": hists,
             "cache": store_counters,
@@ -677,7 +686,7 @@ class ReproServer:
             "draining": self._draining,
             "breaker": self.breaker.state,
             "version": __version__,
-            "backend": kernels.get_backend(),
+            "backend": BACKEND,
             "uptime_s": time.monotonic() - self.started,
         }
 
@@ -790,6 +799,31 @@ class _Handler(BaseHTTPRequestHandler):
     def send_response(self, code, message=None) -> None:
         self._status = code
         super().send_response(code, message)
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        """The stdlib's own refusals (a malformed request line, an
+        unsupported HTTP version or method) as structured JSON errors.
+
+        ``parse_request`` refuses some request lines before it has read
+        their version, while ``request_version`` still says HTTP/0.9,
+        which would suppress the status line and every header; those
+        are answered in this server's HTTP version instead.
+        """
+        message = message or self.responses.get(code, ("???",))[0]
+        self.log_error("code %d, message %s", code, message)
+        if self.request_version == "HTTP/0.9":
+            self.request_version = self.protocol_version
+        data = protocol.error_body(
+            ReproError(message), status=code
+        ).encode("utf-8")
+        self.send_response(code)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.send_header("X-Repro-Schema", SERVE_SCHEMA)
+        self.send_header("Connection", "close")
+        self.end_headers()
+        if self.command != "HEAD":
+            self.wfile.write(data)
 
     def handle_one_request(self) -> None:
         try:

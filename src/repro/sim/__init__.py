@@ -46,11 +46,9 @@ from .scheduler import (
 )
 from .trace import RoundRecord, Trace, TraceMeta
 from .replay import (
-    DiffReport,
     Divergence,
     ReplayReport,
     compare_traces,
-    differential_check,
     load_trace,
     replay_trace,
     save_trace,
@@ -100,11 +98,9 @@ __all__ = [
     "RoundRecord",
     "Trace",
     "TraceMeta",
-    "DiffReport",
     "Divergence",
     "ReplayReport",
     "compare_traces",
-    "differential_check",
     "load_trace",
     "replay_trace",
     "save_trace",

@@ -21,9 +21,9 @@ implementation.  The batch adds the two things that make it fast:
   are pre-seeded across all unfinished sims with one vectorized call
   each (batched Weiszfeld for quasi-regularity detection, batched views
   and ray loads for asymmetric elections) via the ``batched_*`` kernels
-  of :mod:`repro.geometry.kernels`.  Seeding happens only under
-  conditions where the scalar path would call the same 2-D kernel, so
-  per-backend equivalence stays tight.
+  of :mod:`repro.geometry.kernels`.  Seeding starts at
+  :data:`~repro.geometry.kernels.KERNEL_MIN_N` robots, where one NumPy
+  call beats the per-sim pure-Python computation it replaces.
 
 The equivalence suite asserts seed-for-seed identical verdicts and round
 counts against the scalar engine, with final positions inside the
@@ -95,9 +95,8 @@ class BatchedSimulation:
     reused across sims.  ``None`` selects the scalar engine's benign
     defaults for every sim.
 
-    Requires NumPy (the sims-axis kernels are the point); the ambient
-    ``REPRO_BACKEND`` is left alone, so per-sim tower computations use
-    whatever backend the process runs under.
+    Requires NumPy (the sims-axis kernels are the point); per-sim tower
+    computations that no kernel seeded run the pure-Python scalar code.
     """
 
     def __init__(
@@ -172,13 +171,12 @@ class BatchedSimulation:
     def _seed_weber(self, configs: List[Configuration]) -> None:
         """Warm ``weber_numeric`` memos for sims about to classify QR.
 
-        Replicates the numpy branch of
-        :func:`repro.geometry.weber.geometric_median` — input-point
-        screening, certification, Weiszfeld fallback — with only the
-        iteration loop batched, and only under the exact conditions the
-        per-sim call sites would use the 2-D kernels themselves.
+        Replicates :func:`repro.geometry.weber.geometric_median` —
+        input-point screening, certification, Weiszfeld fallback — with
+        the distance sums and the iteration loop on NumPy, and the
+        iteration batched across sims.
         """
-        if not kernels.enabled_for(self.n_robots):
+        if self.n_robots < kernels.KERNEL_MIN_N:
             return
         pending: List[Tuple[Configuration, list]] = []
         for config in configs:
@@ -223,21 +221,24 @@ class BatchedSimulation:
         """Warm ``ray_loads`` and ``views`` memos for asymmetric sims.
 
         Elections over safe points consume both; one batched kernel
-        call each replaces per-sim 2-D kernel calls.  Conditions mirror
-        the per-sim call sites (:func:`all_max_ray_loads`,
-        :func:`view_table`) so seeded and unseeded sims take the same
-        numeric path.
+        call each replaces the per-sim pure-Python computations of
+        :func:`all_max_ray_loads` and :func:`view_table`, which it
+        matches exactly.
         """
         loads_group: List[Configuration] = []
         views_group: List[tuple] = []
         tol = self.tol
         for config in configs:
             support = config.support
-            if config.memo_get("ray_loads") is None and kernels.enabled_for(
-                len(support)
+            if (
+                config.memo_get("ray_loads") is None
+                and len(support) >= kernels.KERNEL_MIN_N
             ):
                 loads_group.append(config)
-            if config.memo_get("views") is None and kernels.enabled_for(config.n):
+            if (
+                config.memo_get("views") is None
+                and config.n >= kernels.KERNEL_MIN_N
+            ):
                 if len(support) > 1:
                     c = config.sec_center()
                     center_points = [

@@ -100,8 +100,8 @@ def component_rng(seed: int, component: str) -> random.Random:
     geometric detail desynchronize completely after the first extra
     draw.  Independent substreams keep e.g. the crash schedule a
     function of the crash adversary alone, which is what makes
-    differential backend diffs (``repro check --diff``) localize to the
-    round that actually diverged.
+    scalar-vs-batched engine diffs localize to the round that actually
+    diverged.
 
     String seeding is used because :class:`random.Random` hashes str
     seeds with SHA-512 — stable across processes, platforms and

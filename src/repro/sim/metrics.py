@@ -6,24 +6,15 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..geometry import Point, kernels
+from ..geometry import Point
 from .engine import SimulationResult
 
 __all__ = ["spread", "summarize_runs", "RunSummary"]
 
 
 def spread(positions: Iterable[Point]) -> float:
-    """Diameter of a point set — the simplest convergence measure.
-
-    Routed through the vectorized ``pairwise_diameter`` kernel under the
-    numpy backend: per-round spread logging (the observability layer
-    emits it on every round event) must not reintroduce an O(n^2)
-    pure-Python loop on the hot path the kernels exist to avoid.  The
-    loop below is the reference fallback.
-    """
+    """Diameter of a point set — the simplest convergence measure."""
     pts = list(positions)
-    if kernels.enabled_for(len(pts)):
-        return kernels.pairwise_diameter([(p.x, p.y) for p in pts])
     best = 0.0
     for i, p in enumerate(pts):
         for q in pts[i + 1 :]:

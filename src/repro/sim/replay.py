@@ -1,9 +1,9 @@
-"""Trace replay and differential backend verification.
+"""Trace replay.
 
 This module is the offline half of the reproducibility story.  A v2
 trace (see :mod:`repro.sim.trace`) embeds its scenario, seeds, backend
-and tolerance, which makes three checks possible without any context
-beyond the JSON file:
+label and tolerance, which makes two checks possible without any
+context beyond the JSON file:
 
 * :func:`replay_trace` — rebuild the simulation from the embedded
   scenario and verify the re-execution is **bit-identical** round by
@@ -13,10 +13,6 @@ beyond the JSON file:
 * :func:`repro.analysis.invariants.verify_trace` (re-exported by the
   CLI) — run the proof-obligation checkers over the archived rounds
   without re-simulating.
-* :func:`differential_check` — execute one scenario under both kernel
-  backends in **subprocesses** (so each resolves ``REPRO_BACKEND`` from
-  a clean import) and diff the executions round by round, reporting the
-  first divergent round together with a minimized reproduction command.
 
 Divergences carry a shell command that reproduces them in isolation;
 ``repro check`` prints it, and CI surfaces it in the failing log.
@@ -24,31 +20,21 @@ Divergences carry a shell command that reproduces them in isolation;
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
-import tempfile
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
-from ..geometry import kernels
 from ..resilience import TraceFormatError, atomic_write
 from .trace import Trace, RoundRecord, TraceMeta
 
 __all__ = [
     "Divergence",
     "ReplayReport",
-    "DiffReport",
     "load_trace",
     "save_trace",
     "rebuild_result",
     "replay_trace",
     "compare_records",
     "compare_traces",
-    "record_subprocess_trace",
-    "differential_check",
-    "diff_command",
 ]
 
 
@@ -76,7 +62,6 @@ class Divergence:
 class ReplayReport:
     """Outcome of re-simulating an archived trace."""
 
-    backend: str
     rounds_compared: int
     divergence: Optional[Divergence]
     command: str
@@ -87,40 +72,9 @@ class ReplayReport:
 
     def describe(self) -> str:
         if self.ok:
-            return (
-                f"replay ok: {self.rounds_compared} rounds bit-identical "
-                f"on backend {self.backend!r}"
-            )
+            return f"replay ok: {self.rounds_compared} rounds bit-identical"
         return (
-            f"replay FAILED on backend {self.backend!r}:\n"
-            f"{self.divergence.describe()}\n"
-            f"  reproduce: {self.command}"
-        )
-
-
-@dataclass(frozen=True)
-class DiffReport:
-    """Outcome of a differential backend check for one (scenario, seed)."""
-
-    seed: int
-    backends: Tuple[str, str]
-    rounds: Tuple[int, int]
-    divergence: Optional[Divergence]
-    command: str
-
-    @property
-    def ok(self) -> bool:
-        return self.divergence is None
-
-    def describe(self) -> str:
-        a, b = self.backends
-        if self.ok:
-            return (
-                f"seed {self.seed}: {a} and {b} agree "
-                f"({self.rounds[0]} rounds bit-identical)"
-            )
-        return (
-            f"seed {self.seed}: {a} vs {b} DIVERGED\n"
+            f"replay FAILED:\n"
             f"{self.divergence.describe()}\n"
             f"  reproduce: {self.command}"
         )
@@ -252,148 +206,13 @@ def compare_traces(expected: Trace, actual: Trace) -> Optional[Divergence]:
     return None
 
 
-def replay_trace(
-    trace: Trace,
-    backend: Optional[str] = None,
-    path: str = "<trace>",
-) -> ReplayReport:
-    """Re-simulate an archived trace and verify bitwise identity.
-
-    ``backend`` defaults to the backend the trace was recorded on;
-    passing another verifies cross-backend reproducibility (which holds
-    whenever the kernels' combinatorial-equivalence contract extends to
-    the numerical outputs the scenario actually exercises).
-    """
+def replay_trace(trace: Trace, path: str = "<trace>") -> ReplayReport:
+    """Re-simulate an archived trace and verify bitwise identity."""
     meta = _require_replayable(trace.meta)
-    backend = backend or meta.backend
-    command = f"REPRO_BACKEND={backend} python -m repro check --replay {path}"
-    with kernels.backend(backend):
-        result = rebuild_result(meta)
+    result = rebuild_result(meta)
     divergence = compare_traces(trace, result.trace)
     return ReplayReport(
-        backend=backend,
         rounds_compared=min(len(trace), len(result.trace)),
         divergence=divergence,
-        command=command,
-    )
-
-
-# -- differential backend check ----------------------------------------------
-
-
-def _child_env(backend: str) -> dict:
-    """Environment for a recorder subprocess: explicit backend, and the
-    parent's package location on ``PYTHONPATH`` so ``-m repro`` resolves
-    even when the package is not installed."""
-    import repro
-
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ)
-    env["REPRO_BACKEND"] = backend
-    existing = env.get("PYTHONPATH")
-    if package_root not in (existing or "").split(os.pathsep):
-        env["PYTHONPATH"] = (
-            package_root + (os.pathsep + existing if existing else "")
-        )
-    return env
-
-
-def record_subprocess_trace(
-    scenario,
-    seed: int,
-    backend: str,
-    out_path: str,
-    timeout: float = 600.0,
-) -> Trace:
-    """Run one (scenario, seed) in a fresh subprocess pinned to ``backend``
-    and return the recorded trace.
-
-    A subprocess — not an in-process backend switch — is the point: the
-    child resolves ``REPRO_BACKEND`` from the environment at import
-    time, exactly the code path a user's sweep takes, so a divergence
-    found here is a divergence a sweep would actually hit.
-    """
-    scenario_path = out_path + ".scenario.json"
-    with open(scenario_path, "w", encoding="utf-8") as handle:
-        json.dump(scenario.to_dict(), handle)
-    command = [
-        sys.executable,
-        "-m",
-        "repro",
-        "check",
-        "--emit-trace",
-        scenario_path,
-        "--seed",
-        str(seed),
-        "--out",
-        out_path,
-    ]
-    completed = subprocess.run(
-        command,
-        env=_child_env(backend),
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-    )
-    if completed.returncode != 0:
-        raise RuntimeError(
-            f"trace recorder failed (backend={backend}, seed={seed}):\n"
-            f"{completed.stdout}{completed.stderr}"
-        )
-    return load_trace(out_path)
-
-
-def diff_command(scenario, seed: int, max_rounds: Optional[int] = None) -> str:
-    """The minimized shell command reproducing a differential divergence.
-
-    ``max_rounds`` truncates the run just past the divergent round, so
-    the reproduction is as small as the divergence allows.
-    """
-    parts = [
-        "python -m repro check --diff",
-        f"--workload {scenario.workload}",
-        f"--n {scenario.n}",
-        f"--algorithm {scenario.algorithm}",
-        f"--scheduler {scenario.scheduler}",
-        f"--crashes {scenario.crashes}",
-        f"--f {scenario.f}",
-        f"--movement {scenario.movement}",
-        f"--seeds {seed}",
-    ]
-    if getattr(scenario, "visibility", None) is not None:
-        parts.append(f"--visibility {scenario.visibility:g}")
-    if max_rounds is not None:
-        parts.append(f"--max-rounds {max_rounds}")
-    return " ".join(parts)
-
-
-def differential_check(
-    scenario,
-    seed: int,
-    backends: Tuple[str, str] = ("python", "numpy"),
-    timeout: float = 600.0,
-) -> DiffReport:
-    """Execute one (scenario, seed) under two backends and diff the runs."""
-    with tempfile.TemporaryDirectory(prefix="repro-diff-") as tmp:
-        traces: List[Trace] = []
-        for backend in backends:
-            out_path = os.path.join(tmp, f"{backend}-seed{seed}.json")
-            traces.append(
-                record_subprocess_trace(
-                    scenario, seed, backend, out_path, timeout=timeout
-                )
-            )
-    expected, actual = traces
-    divergence = compare_traces(expected, actual)
-    max_rounds = (
-        min(divergence.round_index + 1, scenario.max_rounds)
-        if divergence is not None
-        else None
-    )
-    return DiffReport(
-        seed=seed,
-        backends=backends,
-        rounds=(len(expected), len(actual)),
-        divergence=divergence,
-        command=diff_command(scenario, seed, max_rounds=max_rounds),
+        command=f"python -m repro check --replay {path}",
     )

@@ -11,7 +11,7 @@ Schema
 ------
 ``repro-trace-v2`` carries a ``meta`` block embedding everything needed
 to *re-simulate* the run — the canonical scenario dict, the sweep seed
-and engine seed, the kernel backend, the package version, and the
+and engine seed, the backend label, the package version, and the
 :class:`~repro.geometry.tolerance.Tolerance` the run quantized space
 with.  The tolerance matters for fidelity, not just provenance: the
 per-round configurations are rebuilt on load, and rebuilding with the
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core import ConfigClass, Configuration
-from ..geometry import DEFAULT_TOLERANCE, Point, Tolerance, kernels
+from ..geometry import DEFAULT_TOLERANCE, Point, Tolerance
 from ..resilience.errors import TraceFormatError
 
 __all__ = [
@@ -36,12 +36,19 @@ __all__ = [
     "Trace",
     "TraceMeta",
     "SCHEMA_V2",
+    "BACKEND",
     "canonical_scenario_json",
     "scenario_hash",
 ]
 
 #: Schema identifier: ``meta`` block + records.
 SCHEMA_V2 = "repro-trace-v2"
+
+#: Backend label of every run, recorded in trace meta and hashed into
+#: serve cache keys.  Scalar computations have one implementation, the
+#: pure-Python one; the label stays so archived traces and stored
+#: results keep their keys.
+BACKEND = "python"
 
 
 def _package_version() -> str:
@@ -148,7 +155,7 @@ class TraceMeta:
             scenario=dict(scenario) if scenario is not None else None,
             seed=seed,
             engine_seed=engine_seed,
-            backend=kernels.get_backend(),
+            backend=BACKEND,
             package_version=_package_version(),
             tolerance=(tol.eps_dist, tol.eps_angle, tol.eps_solver),
             engine=engine,
@@ -181,7 +188,7 @@ class TraceMeta:
             scenario=data.get("scenario"),
             seed=data.get("seed"),
             engine_seed=data.get("engine_seed"),
-            backend=data.get("backend", "python"),
+            backend=data.get("backend", BACKEND),
             package_version=data.get("package_version", "unknown"),
             tolerance=tuple(tolerance) if tolerance else None,
             engine=data.get("engine", "atom"),

@@ -28,6 +28,13 @@ def tol():
 
 
 @pytest.fixture
+def numpy():
+    """NumPy, which the batched engine and its kernels need; the test
+    is skipped when it is not installed."""
+    return pytest.importorskip("numpy")
+
+
+@pytest.fixture
 def rng():
     return random.Random(12345)
 

@@ -9,7 +9,6 @@ from repro.geometry import (
     Point,
     geometric_median,
     is_weber_point,
-    kernels,
     linear_weber_interval,
     sum_of_distances,
     unit_vector_sum,
@@ -162,7 +161,7 @@ class TestLinearInterval:
 #
 # A frozen copy of the Point-based solver the float-pair loops replaced:
 # its objective, subgradient sum, Vardi–Zhang step and outer loop.  The
-# python backend must reproduce it exactly (``==`` on every float), not
+# solver must reproduce it exactly (``==`` on every float), not
 # merely within a tolerance: corpus replay and the benchmark digests
 # hash simulation results that depend on the last bit of each solve.
 
@@ -271,11 +270,6 @@ CAPPED_INPUT = [
 
 
 class TestBitIdenticalToPointSolver:
-    @pytest.fixture(autouse=True)
-    def _python_backend(self):
-        with kernels.backend("python"):
-            yield
-
     def _assert_same(self, result, ref):
         point, iterations, certified, objective = ref
         assert result.point.x == point.x

@@ -8,24 +8,21 @@ numerical tolerance of the scalar engine's final position.
 
 The matrix crosses schedulers x movement models x crash adversaries so
 each RNG substream (scheduling, movement, crashes) is exercised both
-alone and together.  Frames differ by design — the scalar engine hands
-each robot a private frame while the batched engine computes once in
-the global frame — which is exactly the frame equivariance the
-invariance suite establishes; agreement here is evidence the
-equivariance argument holds end to end.
+alone and together.  Teams have ``KERNEL_MIN_N`` robots or more, so
+every cell also compares the memos the batched engine seeds from its
+NumPy kernels against the pure-Python scalar engine.  Frames differ by
+design — the scalar engine hands each robot a private frame while the
+batched engine computes once in the global frame — which is exactly the
+frame equivariance the invariance suite establishes; agreement here is
+evidence the equivariance argument holds end to end.
 """
 
 import pytest
 
 from repro.experiments.runner import Scenario, run_batched, run_scenario
-from repro.geometry import kernels
+from repro.geometry.kernels import KERNEL_MIN_N
 
-needs_numpy = pytest.mark.skipif(
-    "numpy" not in kernels.available_backends(),
-    reason="NumPy not importable in this environment",
-)
-
-pytestmark = needs_numpy
+pytest.importorskip("numpy")
 
 POSITION_TOL = 1e-6
 
@@ -70,7 +67,7 @@ def assert_equivalent(scalar, batched):
 def test_matrix_cell_matches_scalar(scheduler, movement, crash):
     scenario = Scenario(
         workload="random",
-        n=7,
+        n=KERNEL_MIN_N,
         f=0 if crash == "none" else 2,
         scheduler=scheduler,
         crashes=crash,
@@ -97,10 +94,9 @@ def test_matrix_cell_matches_scalar(scheduler, movement, crash):
         ("linear-interval", 16),
     ],
 )
-def test_numpy_backend_workloads_match_scalar(workload, n):
-    """Same comparison with the numpy kernels active on both engines,
-    covering the batched memo pre-seeding paths (weber / ray loads /
-    views) against the scalar per-sim kernel calls."""
+def test_seeded_workloads_match_scalar(workload, n):
+    """Same comparison on workloads that reach each seeded memo (weber /
+    ray loads / views) of the batched engine."""
     scenario = Scenario(
         workload=workload,
         n=n,
@@ -112,8 +108,7 @@ def test_numpy_backend_workloads_match_scalar(workload, n):
         engine="batched",
     )
     scalar_scenario = Scenario(**{**scenario.to_dict(), "engine": "atom"})
-    with kernels.backend("numpy"):
-        seeds = [0, 1, 2]
-        batched = run_batched(scenario, seeds)
-        for seed, b in zip(seeds, batched):
-            assert_equivalent(run_scenario(scalar_scenario, seed), b)
+    seeds = [0, 1, 2]
+    batched = run_batched(scenario, seeds)
+    for seed, b in zip(seeds, batched):
+        assert_equivalent(run_scenario(scalar_scenario, seed), b)

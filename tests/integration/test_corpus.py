@@ -4,12 +4,10 @@ Two guarantees are pinned end to end:
 
 * the **committed corpus** (``tests/corpus/*.json``) — traces of crashed
   runs recorded at the commit that introduced them — replays
-  bit-identically on every backend, forever.  A failure here means a
-  code change silently altered simulation semantics for archived
-  executions.
+  bit-identically, forever.  A failure here means a code change
+  silently altered simulation semantics for archived executions.
 * a **fresh archive** produced by ``run_batch`` failure archiving goes
-  through the same loop: load, replay on both backends, verify
-  invariants offline.
+  through the same loop: load, replay, verify invariants offline.
 """
 
 import glob
@@ -19,7 +17,6 @@ import pytest
 
 from repro.analysis import verify_trace
 from repro.experiments.runner import Scenario, run_batch
-from repro.geometry import kernels
 from repro.sim.replay import load_trace, replay_trace
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus")
@@ -34,9 +31,8 @@ def test_committed_corpus_replays_bit_identically(path):
     assert trace.meta is not None and trace.meta.scenario is not None
     # Corpus traces record crash-adversary runs; keep them that way.
     assert trace.meta.scenario["f"] > 0
-    for backend in kernels.available_backends():
-        report = replay_trace(trace, backend=backend, path=path)
-        assert report.ok, report.describe()
+    report = replay_trace(trace, path=path)
+    assert report.ok, report.describe()
 
 
 @pytest.mark.parametrize(
@@ -59,7 +55,7 @@ def test_corpus_is_nonempty():
 
 def test_fresh_crash_archive_round_trip(tmp_path):
     """A run with crashes that fails is archived by run_batch and the
-    archive replays bit-identically under both backends."""
+    archive replays bit-identically."""
     corpus = str(tmp_path / "archive")
     scenario = Scenario(
         workload="asymmetric",
@@ -75,6 +71,5 @@ def test_fresh_crash_archive_round_trip(tmp_path):
     assert len(archived) == 1
     trace = load_trace(os.path.join(corpus, archived[0]))
     assert trace.meta.scenario == scenario.to_dict()
-    for backend in kernels.available_backends():
-        report = replay_trace(trace, backend=backend)
-        assert report.ok, report.describe()
+    report = replay_trace(trace)
+    assert report.ok, report.describe()

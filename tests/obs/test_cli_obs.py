@@ -332,3 +332,31 @@ class TestDispatchOnHeaderTag:
         err = self._one_line_error(capsys)
         assert path in err
         assert f"line {last_line}:" in err
+
+
+class TestUnwritableOutputPath:
+    """A telemetry path in a missing directory is one ``error:`` line
+    naming the path and exit 2, not a FileNotFoundError traceback from
+    opening ``<path>.partial``."""
+
+    @pytest.mark.parametrize("command", ["simulate", "profile"])
+    @pytest.mark.parametrize("flag", ["--obs-jsonl", "--spans-jsonl"])
+    def test_missing_directory_is_one_line(self, tmp_path, capsys,
+                                           command, flag):
+        path = str(tmp_path / "missing" / "x.jsonl")
+        assert main([command, "--n", "5", flag, path]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0, err
+        assert err.startswith("error: ") and path in err
+
+    def test_nothing_stays_hooked_when_the_second_path_fails(self, tmp_path,
+                                                           capsys):
+        from repro.obs import hooks
+
+        events = str(tmp_path / "ok.obs.jsonl")
+        spans = str(tmp_path / "missing" / "x.spans.jsonl")
+        assert main(["simulate", "--n", "5", "--obs-jsonl", events,
+                     "--spans-jsonl", spans]) == 2
+        # The stream that did open is closed, and no hook points at it.
+        assert read_stream(events).records == []
+        assert hooks._round_hooks == [] and hooks._run_end_hooks == []

@@ -10,9 +10,9 @@ from repro.geometry import DEFAULT_TOLERANCE
 from repro.obs import OBS_SCHEMA, Collector, RoundEvent, read_events
 from repro.sim.trace import TraceMeta
 
-#: n < KERNEL_MIN_N and fully deterministic components: the run is
-#: bitwise identical wherever it executes, so event streams recorded in
-#: different processes (or on different backends) are comparable.
+#: Fully deterministic components: the run is bitwise identical
+#: wherever it executes, so event streams recorded in different
+#: processes are comparable.
 SMALL = Scenario(
     workload="asymmetric",
     n=6,

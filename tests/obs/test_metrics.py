@@ -8,11 +8,7 @@ from repro import obs
 from repro.geometry import kernels
 from repro.obs.metrics import Metrics, Stat
 
-NUMPY_AVAILABLE = "numpy" in kernels.available_backends()
-
-needs_numpy = pytest.mark.skipif(
-    not NUMPY_AVAILABLE, reason="NumPy not importable in this environment"
-)
+needs_numpy = pytest.mark.usefixtures("numpy")
 
 
 class TestStat:
@@ -94,21 +90,19 @@ class TestToggle:
 class TestKernelInstrumentation:
     @needs_numpy
     def test_timed_kernels_record_when_enabled(self):
-        coords = [(0.0, 0.0), (3.0, 4.0), (1.0, 1.0)]
-        with kernels.backend("numpy"):
-            obs.enable()
-            assert kernels.pairwise_diameter(coords) == 5.0
+        coords = [(0.0, 0.0), (3.0, 4.0)]
+        obs.enable()
+        assert kernels.distance_sums(coords, coords) == [5.0, 5.0]
         rows = obs.metrics.kernels()
         assert any(
-            row["kernel"] == "pairwise_diameter" and row["backend"] == "numpy"
+            row["kernel"] == "distance_sums" and row["backend"] == "numpy"
             for row in rows
         )
 
     @needs_numpy
     def test_disabled_kernels_record_nothing(self):
         coords = [(0.0, 0.0), (3.0, 4.0)]
-        with kernels.backend("numpy"):
-            assert kernels.pairwise_diameter(coords) == 5.0
+        assert kernels.distance_sums(coords, coords) == [5.0, 5.0]
         assert obs.metrics.kernels() == []
 
     @needs_numpy
@@ -116,10 +110,9 @@ class TestKernelInstrumentation:
         seen = []
         obs.on_kernel(lambda name, seconds, backend: seen.append(name))
         coords = [(0.0, 0.0), (1.0, 0.0)]
-        with kernels.backend("numpy"):
-            obs.enable()
-            kernels.pairwise_diameter(coords)
-        assert "pairwise_diameter" in seen
+        obs.enable()
+        kernels.distance_sums(coords, coords)
+        assert "distance_sums" in seen
 
 
 class TestHooks:

@@ -1,15 +1,16 @@
-"""Backend equivalence sweeps: numpy kernels == pure-Python reference.
+"""Seeded memos == the pure-Python tower, over the workload families.
 
-The acceptance contract of the vectorized backend is *semantic
-equivalence within the tolerance quantum*: every combinatorial artefact
-derived from a configuration (cluster merge, support, multiplicities,
-classification, safe points, symmetry, election order) must be
-identical under both backends, and every numeric artefact (view radii
-and angles, Weber points) must agree to within one quantization step.
-Bitwise float equality is deliberately *not* asserted for views:
-``np.arctan2``/``np.hypot`` may differ from ``math``'s libm by an ulp
-depending on the SIMD path, and the tolerance model exists precisely to
-absorb that.
+The batched engine warms each configuration's memos from its NumPy
+kernels before its sims classify and elect
+(``BatchedSimulation._seed_weber`` / ``_seed_asymmetric``): Weber points
+for quasi-regularity detection, views and ray loads for elections.
+Every analysis that reads a seeded memo must reach what the pure-Python
+scalar code computes on its own: the same classification, symmetry,
+ray loads, safe points and elected point, views within one quantization
+step, and Weber points with the same certificate.  The batched
+equivalence suite checks this end to end on a few workloads; these
+sweeps check it per configuration on every workload family up to
+n = 256.
 
 Seeded sweeps rather than Hypothesis: the interesting inputs here are
 the structured workload families (biangular, linear, multiplicities),
@@ -19,18 +20,18 @@ would explore far less of the classification tower per example.
 
 import pytest
 
+from repro.algorithms import WaitFreeGather
 from repro.core.classification import classify
 from repro.core.configuration import Configuration
 from repro.core.election import elect, election_key
 from repro.core.safe_points import all_max_ray_loads, max_ray_load, safe_points
 from repro.core.views import symmetry, view_table
-from repro.geometry import DEFAULT_TOLERANCE, geometric_median, kernels
+from repro.core.weber_point import numeric_weber_point
+from repro.geometry import DEFAULT_TOLERANCE
+from repro.sim import BatchedSimulation
 from repro.workloads import generate
 
-pytestmark = pytest.mark.skipif(
-    "numpy" not in kernels.available_backends(),
-    reason="NumPy not importable in this environment",
-)
+pytest.importorskip("numpy")
 
 # (workload, sizes): every classification branch plus scale.
 SWEEP = [
@@ -55,52 +56,54 @@ CASES = [
 ]
 
 
-def both_backends(pts):
-    """The full derived tower of ``pts`` under each backend."""
-    snapshots = {}
-    for backend_name in ("python", "numpy"):
-        with kernels.backend(backend_name):
-            config = Configuration(pts)
-            snapshots[backend_name] = {
-                "points": config.points,
-                "support": config.support,
-                "mults": [config.mult(p) for p in config.support],
-                "class": classify(config).name,
-                "symmetry": symmetry(config),
-                "ray_loads": (
-                    all_max_ray_loads(config)
-                    if backend_name == "numpy"
-                    else [max_ray_load(config, p) for p in config.support]
-                ),
-                "safe": safe_points(config),
-                "views": view_table(config),
-                "keys": [election_key(config, p) for p in config.support],
-            }
-    return snapshots["python"], snapshots["numpy"]
+def seeded(pts) -> Configuration:
+    """A configuration whose memos the batched engine has warmed."""
+    config = Configuration(pts)
+    batch = BatchedSimulation([WaitFreeGather()], [pts])
+    batch._seed_weber([config])
+    batch._seed_asymmetric([config])
+    return config
+
+
+def tower(config: Configuration, ray_loads) -> dict:
+    safe = safe_points(config)
+    return {
+        "class": classify(config).name,
+        "symmetry": symmetry(config),
+        "ray_loads": ray_loads,
+        "safe": safe,
+        "views": view_table(config),
+        "keys": [election_key(config, p) for p in config.support],
+        "elected": elect(config, safe) if safe else None,
+    }
+
+
+def both_paths(pts):
+    """The derived tower of ``pts``, pure-Python and seeded."""
+    python = Configuration(pts)
+    reference = tower(
+        python, [max_ray_load(python, p) for p in python.support]
+    )
+    config = seeded(pts)
+    return reference, tower(config, all_max_ray_loads(config))
 
 
 @pytest.mark.parametrize("workload,n,seed", CASES)
 def test_combinatorial_tower_identical(workload, n, seed):
-    pts = generate(workload, n, seed)
-    py, np_ = both_backends(pts)
-    # The cluster merge is the root of everything downstream: both
-    # backends must produce the same representative for every robot.
-    assert py["points"] == np_["points"]
-    assert py["support"] == np_["support"]
-    assert py["mults"] == np_["mults"]
-    assert py["class"] == np_["class"]
-    assert py["symmetry"] == np_["symmetry"]
-    assert py["ray_loads"] == np_["ray_loads"]
-    assert py["safe"] == np_["safe"]
+    py, sd = both_paths(generate(workload, n, seed))
+    assert py["class"] == sd["class"]
+    assert py["symmetry"] == sd["symmetry"]
+    assert py["ray_loads"] == sd["ray_loads"]
+    assert py["safe"] == sd["safe"]
 
 
 @pytest.mark.parametrize("workload,n,seed", CASES)
 def test_views_within_one_quantum(workload, n, seed):
-    pts = generate(workload, n, seed)
-    py, np_ = both_backends(pts)
+    py, sd = both_paths(generate(workload, n, seed))
     tol = DEFAULT_TOLERANCE
-    for p in py["support"]:
-        va, vb = py["views"][p], np_["views"][p]
+    assert set(py["views"]) == set(sd["views"])
+    for p, va in py["views"].items():
+        vb = sd["views"][p]
         assert len(va) == len(vb)
         for (ra, ta), (rb, tb) in zip(va, vb):
             assert abs(ra - rb) <= tol.eps_dist + 1e-15
@@ -109,25 +112,13 @@ def test_views_within_one_quantum(workload, n, seed):
 
 @pytest.mark.parametrize("workload,n,seed", CASES)
 def test_election_order_agrees(workload, n, seed):
-    pts = generate(workload, n, seed)
-    py, np_ = both_backends(pts)
-    tol = DEFAULT_TOLERANCE
-    for ka, kb in zip(py["keys"], np_["keys"]):
-        assert ka[0] == kb[0]
-        # The distance sum is quantized before comparison; the two
-        # summation orders may land on adjacent quanta at worst.
-        assert abs(ka[1] - kb[1]) <= 2 * tol.eps_dist
-    # The elected point itself must coincide on asymmetric inputs where
-    # safe points exist (the case the algorithm relies on).
-    with kernels.backend("python"):
-        config = Configuration(pts)
-        safe = safe_points(config)
-        winner_py = elect(config, safe) if safe else None
-    with kernels.backend("numpy"):
-        config = Configuration(pts)
-        safe = safe_points(config)
-        winner_np = elect(config, safe) if safe else None
-    assert winner_py == winner_np
+    py, sd = both_paths(generate(workload, n, seed))
+    for ka, kb in zip(py["keys"], sd["keys"]):
+        # Multiplicity and distance sum are never seeded.
+        assert ka[:2] == kb[:2]
+    # The elected point itself must coincide wherever safe points exist
+    # (the case the algorithm relies on).
+    assert py["elected"] == sd["elected"]
 
 
 @pytest.mark.parametrize(
@@ -136,32 +127,28 @@ def test_election_order_agrees(workload, n, seed):
 )
 def test_weber_certificates_agree(workload, n, seed):
     pts = generate(workload, n, seed)
-    with kernels.backend("python"):
-        result_py = geometric_median(pts)
-    with kernels.backend("numpy"):
-        result_np = geometric_median(pts)
-    assert result_py.certified == result_np.certified
-    assert (
-        result_py.point.distance_to(result_np.point)
-        <= DEFAULT_TOLERANCE.eps_dist
-    )
+    reference = numeric_weber_point(Configuration(pts))
+    point = numeric_weber_point(seeded(pts))
+    assert (reference is None) == (point is None)
+    if reference is not None:
+        assert reference.distance_to(point) <= DEFAULT_TOLERANCE.eps_dist
 
 
 @pytest.mark.parametrize("scheduler", ["fsync", "random"])
 def test_full_simulation_verdicts_agree(scheduler):
-    """End-to-end: whole runs reach the same verdict on both backends.
+    """End-to-end: the batched engine reaches the scalar engine's verdict.
 
-    Round trajectories may diverge bitwise after many quantization
-    steps, so the assertion is on the contract that matters: the
-    verdict and the gathering outcome.
+    The batched engine computes in the global frame, so the assertion is
+    on the contract that matters: the verdict and the round count.
     """
-    from repro.experiments.runner import Scenario, run_scenario
+    from repro.experiments.runner import Scenario, run_batched, run_scenario
 
     scenario = Scenario(
         workload="asymmetric", n=9, f=2, scheduler=scheduler, max_rounds=5_000
     )
-    with kernels.backend("python"):
-        result_py = run_scenario(scenario, seed=3)
-    with kernels.backend("numpy"):
-        result_np = run_scenario(scenario, seed=3)
-    assert result_py.verdict == result_np.verdict
+    scalar = run_scenario(scenario, seed=3)
+    (batched,) = run_batched(
+        Scenario(**{**scenario.to_dict(), "engine": "batched"}), [3]
+    )
+    assert batched.verdict == scalar.verdict
+    assert batched.rounds == scalar.rounds

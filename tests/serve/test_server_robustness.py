@@ -319,3 +319,81 @@ class TestClientGone:
         assert gone[0]["fields"]["route"] == "sweep"
         assert gone[0]["fields"]["request_id"]
         assert handle_errors == []
+
+
+def _raw_exchange(client, request: bytes) -> bytes:
+    """Send raw request bytes, read until the daemon closes."""
+    sock = socket.create_connection((client.host, client.port), timeout=30)
+    try:
+        sock.sendall(request)
+        data = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return data
+            data += chunk
+    finally:
+        sock.close()
+
+
+class TestStdlibRefusals:
+    """Requests the stdlib refuses before any ``do_*`` method runs get
+    a status line and the same JSON error body as every other serve
+    failure, not the stdlib's HTML page (which has no status line at
+    all when the request line is malformed)."""
+
+    @pytest.mark.parametrize("request_bytes,status,phrase", [
+        (b"PUT /run HTTP/1.1\r\nHost: test\r\n\r\n", 501,
+         "Unsupported method"),
+        (b"GET /healthz HTTP/9.9\r\n\r\n", 505, "Invalid HTTP version"),
+        (b"GARBAGE\r\n\r\n", 400, "Bad request syntax"),
+    ], ids=["method", "version", "request-line"])
+    def test_structured_json_error(self, request_bytes, status, phrase):
+        with serving() as client:
+            raw = _raw_exchange(client, request_bytes)
+        head, _, body = raw.partition(b"\r\n\r\n")
+        lines = head.decode("iso-8859-1").split("\r\n")
+        assert lines[0].startswith(f"HTTP/1.1 {status} ")
+        headers = dict(line.split(": ", 1) for line in lines[1:])
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Connection"] == "close"
+        assert int(headers["Content-Length"]) == len(body)
+        document = json.loads(body)
+        assert document["kind"] == "error"
+        assert document["status"] == status
+        assert phrase in document["message"]
+
+
+class TestUnwritableTelemetryPath:
+    """``repro serve`` with an access log or span trace in a missing
+    directory is one ``error:`` line naming the path and exit 2, not a
+    FileNotFoundError traceback."""
+
+    @pytest.mark.parametrize("flag", ["--access-log", "--trace-jsonl"])
+    def test_missing_directory_is_one_line(self, tmp_path, capsys, flag):
+        from repro.cli import main
+
+        path = str(tmp_path / "missing" / "out.jsonl")
+        assert main(["serve", "--port", "0", flag, path]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0, err
+        assert err.startswith("error: ") and path in err
+
+    def test_second_path_failing_closes_the_first(self, tmp_path, capsys):
+        from repro.cli import main
+
+        access = tmp_path / "access.jsonl"
+        missing = str(tmp_path / "missing" / "spans.jsonl")
+        assert main(["serve", "--port", "0", "--access-log", str(access),
+                     "--trace-jsonl", missing]) == 2
+        assert missing in capsys.readouterr().err
+        # The access log that did open is closed, and the log hub does
+        # not write to it.
+        from repro.obs import read_stream
+        from repro.obs.sink import JsonlStream
+
+        assert read_stream(str(access)).records == []
+        assert not any(
+            isinstance(getattr(sink, "__self__", None), JsonlStream)
+            for sink in log_hub._sinks
+        )

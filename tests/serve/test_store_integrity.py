@@ -55,12 +55,11 @@ class TestEnvelope:
         header_only = encode_entry(BODY).split("\n", 1)[0]
         assert decode_entry(header_only) is None
 
-    def test_legacy_raw_bodies_still_decode(self):
-        # Entries written before the envelope existed carry no header;
-        # an upgraded daemon must keep serving them verbatim.
-        assert decode_entry(BODY.rstrip("\n")) == BODY.rstrip("\n")
-        multiline = '{"a":1}\n{"b":2}\n'
-        assert decode_entry(multiline) == multiline
+    def test_raw_bodies_are_rejected(self):
+        # A body without its envelope carries no digest to verify, so
+        # it is corrupt like any other unverifiable entry.
+        assert decode_entry(BODY.rstrip("\n")) is None
+        assert decode_entry('{"a":1}\n{"b":2}\n') is None
 
 
 class TestSelfHealing:
@@ -155,15 +154,26 @@ class TestOfflineAudits:
         assert not os.path.exists(store._path(KEY_A))
         assert ResultStore(store.root).verify_disk()["corrupt"] == 0
 
-    def test_verify_counts_legacy_entries(self, tmp_path):
+    def test_raw_entry_is_quarantined_recomputed_and_counted_corrupt(
+        self, tmp_path
+    ):
         store = fresh_disk_store(tmp_path)
         path = store._path(KEY_A)
         os.makedirs(os.path.dirname(path))
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(BODY)  # raw pre-envelope entry
-        report = store.verify_disk()
-        assert report["legacy"] == 1
-        assert report["corrupt"] == 0
+            handle.write(BODY)  # a body without its envelope
+        report = ResultStore(store.root).verify_disk(repair=False)
+        assert report["corrupt"] == 1 and report["ok"] == 0
+        assert "legacy" not in report
+
+        # The serving path quarantines it and reports a miss; the
+        # caller recomputes and the key serves again, verified.
+        reopened = ResultStore(store.root)
+        assert reopened.get(KEY_A) is None
+        assert reopened.quarantined == 1
+        reopened.put(KEY_A, BODY)
+        assert ResultStore(store.root).get(KEY_A) == BODY
+        assert ResultStore(store.root).verify_disk()["corrupt"] == 0
 
     def test_gc_removes_quarantine_and_temp_debris(self, tmp_path):
         store = fresh_disk_store(tmp_path)

@@ -1,4 +1,4 @@
-"""Replay + differential verification for the ASYNC (CORDA) engine.
+"""Replay for the ASYNC (CORDA) engine.
 
 The ATOM replay contract (bit-identical re-execution from the embedded
 scenario) extends to the tick engine: ``Scenario.engine`` selects the
@@ -10,19 +10,15 @@ replays through exactly the code path that recorded it.
 import pytest
 
 from repro.experiments.runner import Scenario, build_simulation, run_scenario
-from repro.geometry import kernels
 from repro.sim import PhasedActivation, Trace
 from repro.sim.replay import (
     compare_traces,
-    differential_check,
     load_trace,
     replay_trace,
     save_trace,
 )
 from repro.sim.trace import TraceMeta
 
-#: n < KERNEL_MIN_N bypasses the vectorized kernels on both backends,
-#: so ASYNC executions are bitwise backend-identical by construction.
 ASYNC_SMALL = Scenario(
     workload="asymmetric",
     n=6,
@@ -96,12 +92,6 @@ class TestAsyncReplay:
         assert report.ok, report.describe()
         assert report.rounds_compared == len(trace)
 
-    def test_replay_is_backend_independent(self):
-        trace = recorded_trace()
-        for backend in kernels.available_backends():
-            report = replay_trace(trace, backend=backend)
-            assert report.ok, report.describe()
-
     def test_saved_trace_replays_from_disk(self, tmp_path):
         path = str(tmp_path / "async.json")
         save_trace(recorded_trace(), path)
@@ -110,12 +100,3 @@ class TestAsyncReplay:
         report = replay_trace(trace, path=path)
         assert report.ok, report.describe()
 
-
-class TestAsyncDifferential:
-    @pytest.mark.skipif(
-        "numpy" not in kernels.available_backends(),
-        reason="differential check needs both backends",
-    )
-    def test_backends_agree_in_subprocesses(self):
-        report = differential_check(ASYNC_SMALL, 3)
-        assert report.ok, report.describe()

@@ -24,10 +24,7 @@ from repro.geometry import kernels
 from repro.sim import BatchedSimulation, RoundRobin, Verdict
 from repro.workloads import generate
 
-needs_numpy = pytest.mark.skipif(
-    "numpy" not in kernels.available_backends(),
-    reason="NumPy not importable in this environment",
-)
+needs_numpy = pytest.mark.usefixtures("numpy")
 
 
 def _algorithms(k):

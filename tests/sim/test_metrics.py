@@ -2,12 +2,9 @@
 
 import dataclasses
 import math
-import random
-
-import pytest
 
 from repro.algorithms import WaitFreeGather
-from repro.geometry import Point, kernels
+from repro.geometry import Point
 from repro.sim import Simulation, spread, summarize_runs
 
 
@@ -19,21 +16,6 @@ class TestSpread:
     def test_diameter(self):
         pts = [Point(0, 0), Point(3, 4), Point(1, 1)]
         assert spread(pts) == 5.0
-
-    @pytest.mark.skipif(
-        "numpy" not in kernels.available_backends(),
-        reason="NumPy not importable in this environment",
-    )
-    def test_kernel_route_matches_python_fallback(self):
-        rng = random.Random(17)
-        pts = [
-            Point(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            for _ in range(64)
-        ]
-        with kernels.backend("python"):
-            reference = spread(pts)
-        with kernels.backend("numpy"):
-            assert abs(spread(pts) - reference) < 1e-12
 
 
 class TestSummaries:

@@ -176,14 +176,6 @@ class TestCheck:
         assert "bit-identical" in out
         assert "check ok" in out
 
-    def test_replay_both_backends(self, capsys, tmp_path):
-        target = self._save(tmp_path)
-        code = main(["check", "--replay", target, "--backend", "both"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "backend 'python'" in out
-        assert "backend 'numpy'" in out
-
     def test_tampered_trace_exit_one(self, capsys, tmp_path):
         import json
 
@@ -223,22 +215,19 @@ class TestCheck:
     def test_no_mode_is_usage_error(self, capsys):
         assert main(["check"]) == 2
 
-    def test_emit_trace_internal_mode(self, capsys, tmp_path):
-        import json
-
-        from repro.experiments.runner import Scenario
-        from repro.sim.replay import load_trace
-
-        scenario_path = str(tmp_path / "scenario.json")
-        out_path = str(tmp_path / "out.json")
-        scenario = Scenario(workload="asymmetric", n=6, f=1)
-        with open(scenario_path, "w") as handle:
-            json.dump(scenario.to_dict(), handle)
-        code = main(
-            ["check", "--emit-trace", scenario_path, "--seed", "4",
-             "--out", out_path]
-        )
-        assert code == 0
-        trace = load_trace(out_path)
-        assert trace.meta.seed == 4
-        assert Scenario.from_dict(trace.meta.scenario) == scenario
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", option, "1"] for option in (
+            "--diff", "--backend", "--emit-trace", "--seed", "--out",
+            "--workload", "--n", "--algorithm", "--scheduler", "--crashes",
+            "--f", "--movement", "--seeds", "--max-rounds", "--visibility",
+        )] + [["profile", "--backend", "numpy"]],
+        ids=lambda argv: f"{argv[0]}{argv[1]}",
+    )
+    def test_backend_options_are_gone(self, capsys, argv):
+        """Scalar runs have one implementation, so the options that chose
+        or diffed a kernel backend are unrecognized arguments now."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

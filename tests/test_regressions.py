@@ -224,15 +224,6 @@ class TestMultipleCenterCoincidentViewPoints:
         assert set(table) == set(config.support)
 
 
-def _observe_worker_backend(_item):
-    """Module-level so the process pool can pickle it."""
-    import os
-
-    from repro.geometry import kernels
-
-    return (kernels.get_backend(), os.environ.get("REPRO_BACKEND"))
-
-
 class TestTraceToleranceRoundTrip:
     """Trace JSON did not record the run's Tolerance, so archived
     configurations were rebuilt with DEFAULT_TOLERANCE on load.  For a
@@ -288,69 +279,11 @@ class TestTraceToleranceRoundTrip:
         assert degraded_config.locate(Point(0.3, 0.0)) is None
 
 
-class TestWorkerBackendPinning:
-    """The process-pool initializer pinned the backend active at *pool
-    creation*; a backend switch between batches (the differential
-    checker does exactly that) left long-lived workers computing on the
-    stale backend, and the choice was never exported to REPRO_BACKEND so
-    grandchild processes resolved the wrong default too.  parallel_map
-    now re-pins state + environment around every worker-side call."""
-
-    def test_stale_pool_workers_follow_backend_switch(self):
-        pytest.importorskip("numpy")
-        from repro.experiments.runner import executor, parallel_map
-        from repro.geometry import kernels
-
-        original = kernels.get_backend()
-        try:
-            kernels.set_backend("python")
-            with executor(2) as pool:
-                first = parallel_map(
-                    _observe_worker_backend, [0, 1], pool=pool
-                )
-                assert all(b == "python" for b, _ in first)
-                kernels.set_backend("numpy")  # pool already exists
-                second = parallel_map(
-                    _observe_worker_backend, [0, 1], pool=pool
-                )
-                assert all(b == "numpy" for b, _ in second)
-                # Exported for grandchildren, not just process state.
-                assert all(env == "numpy" for _, env in second)
-        finally:
-            kernels.set_backend(original)
-
-
 class TestNumpyFallbackIsLoudAndNarrow:
     """The numpy import guard caught every Exception, so a *broken*
     NumPy install (SystemError, bad ABI) masqueraded as 'not installed'
-    and the sweep silently computed on the pure-Python backend.  The
-    guard now catches only ImportError, and the numpy->python
-    degradation warns once instead of never."""
-
-    def test_missing_numpy_warns_once_and_degrades(self, monkeypatch):
-        import sys
-        import warnings
-
-        from repro.geometry import kernels
-
-        original = kernels.get_backend()
-        monkeypatch.setattr(kernels, "_np", None)
-        monkeypatch.setitem(sys.modules, "numpy", None)  # import fails
-        monkeypatch.setattr(kernels, "_fallback_warned", False)
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                kernels.set_backend("numpy")
-                assert kernels.get_backend() == "python"
-                kernels.set_backend("numpy")  # second request: no repeat
-            runtime = [
-                w for w in caught if issubclass(w.category, RuntimeWarning)
-            ]
-            assert len(runtime) == 1
-            assert "falling back" in str(runtime[0].message)
-        finally:
-            monkeypatch.undo()
-            kernels.set_backend(original)
+    and the sweep silently computed without it.  The guard now catches
+    only ImportError."""
 
     def test_import_guard_is_importerror_only(self):
         import ast
