@@ -20,7 +20,7 @@ order, so all robots agree on who moves without identities.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..core import Configuration, election_key
 from ..geometry import Point

@@ -26,14 +26,12 @@ paper's proof are the guarantee.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..algorithms.base import GatheringAlgorithm
 from ..core import (
-    BivalentConfigurationError,
     ConfigClass,
     Configuration,
     GatheringError,

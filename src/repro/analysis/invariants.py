@@ -28,9 +28,8 @@ safe-point preservation  Lemma 5.6 claim C1: the elected safe point remains
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..core import (
     ConfigClass,

@@ -11,10 +11,9 @@ would plot as figures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
-from ..core import ConfigClass, Configuration, classify
-from ..geometry import Point
+from ..core import ConfigClass
 from ..sim.metrics import spread
 from ..sim.trace import RoundRecord
 from .invariants import phi

@@ -8,7 +8,7 @@ benchmark harness must not drag heavyweight imports into its hot path.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 __all__ = ["mean", "median", "stddev", "wilson_interval"]
 

@@ -44,8 +44,10 @@ History (``repro-bench/2``)
 ---------------------------
 The file on disk is a *history*, not a single run: ``latest`` holds the
 most recent run document and ``runs`` an append-only array of
-``{git_sha, recorded_at, document}`` entries, one per ``repro bench``
-invocation — the perf trajectory across commits.
+``{git_sha, git_dirty, recorded_at, document}`` entries, one per
+``repro bench`` invocation — the perf trajectory across commits.
+``git_dirty`` is true when tracked files differed from ``git_sha``, so
+the run measured uncommitted code (``None`` outside a git checkout).
 """
 
 from __future__ import annotations
@@ -351,19 +353,19 @@ def run_bench(
     }
 
 
-def _git_sha() -> Optional[str]:
-    """HEAD commit of the working directory's repo, or ``None``."""
+def _git(*args: str) -> Optional[str]:
+    """Stripped stdout of ``git *args`` in the working directory, or
+    ``None`` when git is missing or fails (e.g. not a checkout)."""
     try:
         completed = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             capture_output=True,
             text=True,
             timeout=10,
         )
     except (OSError, subprocess.TimeoutExpired):
         return None
-    sha = completed.stdout.strip()
-    return sha if completed.returncode == 0 and sha else None
+    return completed.stdout.strip() if completed.returncode == 0 else None
 
 
 def load_history(path: str) -> Dict:
@@ -421,9 +423,13 @@ def write_bench(document: Dict, path: str) -> None:
         history = load_history(path)
     else:
         history = {"schema": HISTORY_SCHEMA, "latest": None, "runs": []}
+    sha = _git("rev-parse", "HEAD") or None
+    # Tracked files only: an untracked file changes no code.
+    status = sha and _git("status", "--porcelain", "--untracked-files=no")
     history["runs"].append(
         {
-            "git_sha": _git_sha(),
+            "git_sha": sha,
+            "git_dirty": None if status is None else bool(status),
             "recorded_at": document.get("generated_at"),
             "document": document,
         }

@@ -70,7 +70,6 @@ from typing import List, Optional, Tuple
 
 from .algorithms import ALGORITHMS
 from .core import (
-    ConfigClass,
     Configuration,
     classify,
     quasi_regularity,
@@ -82,7 +81,6 @@ from .experiments.report import Table
 from .experiments.runner import (
     Scenario,
     make_crashes,
-    make_movement,
     make_scheduler,
     run_scenario,
 )
@@ -271,9 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "per vectorized round (seed-equivalent to "
                             "'atom')")
     sweep.add_argument("--batch-size", type=int, default=None, metavar="K",
-                       help="seeds stepped together per batched-engine "
-                            "simulation (default 64; ignored by the "
-                            "scalar engines)")
+                       help="most seeds stepped together per "
+                            "batched-engine simulation (default 64); "
+                            "chunks shrink to an even share when that "
+                            "gives every --workers process one (ignored "
+                            "by the scalar engines)")
     _add_visibility_flag(sweep)
     sweep.add_argument("--seeds", type=int, default=16, metavar="N",
                        help="number of seeds to sweep "

@@ -39,7 +39,7 @@ reconstruction decision.  Per-case rules:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..geometry import (
     Point,

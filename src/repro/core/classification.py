@@ -20,12 +20,9 @@ the test suite checks the claimed exhaustiveness/disjointness properties
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
-from ..geometry import Point
 from .configuration import Configuration
 from .quasi_regularity import quasi_regularity
-from .views import symmetry
 from .weber_point import has_unique_linear_weber_point
 
 __all__ = ["ConfigClass", "classify"]

@@ -16,7 +16,7 @@ the ablation baseline deliberately does not — experiment E9).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Tuple
 
 from ..geometry import Point, sum_of_distances
 from .configuration import Configuration

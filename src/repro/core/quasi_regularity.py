@@ -30,17 +30,15 @@ Detection, following the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..geometry import TWO_PI, Point, normalize_angle
+from ..geometry import TWO_PI, Point
 from .configuration import Configuration
 from .regularity import regularity
 from .successor import (
     Ray,
     angular_resolution,
-    periodicity,
     ray_structure,
-    string_of_angles,
 )
 from .weber_point import numeric_weber_point
 

@@ -19,7 +19,7 @@ reports them as not regular by design.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from ..geometry import Point
 from .configuration import Configuration

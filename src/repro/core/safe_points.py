@@ -16,7 +16,7 @@ their multiplicities.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..geometry import TWO_PI, Point, direction_angle, normalize_angle
 from .configuration import Configuration

@@ -16,7 +16,6 @@ robots taken from the center during quasi-regularity completion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 

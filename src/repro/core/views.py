@@ -25,8 +25,7 @@ that quantization boundaries cannot split a symmetric orbit.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..geometry import (
     TWO_PI,

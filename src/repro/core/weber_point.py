@@ -19,7 +19,6 @@ from ..geometry import (
     Point,
     WeberResult,
     geometric_median,
-    linear_weber_interval,
     project_parameter,
 )
 from .configuration import Configuration

@@ -17,7 +17,7 @@ those endings separately because they are the interesting failure mode.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..algorithms import WaitFreeGather
 from ..sim import RandomSubset, Simulation, summarize_runs

@@ -18,11 +18,11 @@ transitions so the table shows the reachability diagram as measured.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Tuple
+from typing import List
 
 from ..algorithms import WaitFreeGather
 from ..analysis import ALLOWED_TRANSITIONS, InvariantMonitor
-from ..core import ConfigClass, classify
+from ..core import classify
 from ..sim import Simulation
 from ..workloads import generate
 from .report import Table

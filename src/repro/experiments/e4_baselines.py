@@ -18,7 +18,6 @@ as soon as ``f >= 1``.
 
 from __future__ import annotations
 
-import math
 from typing import List
 
 from ..sim import spread, summarize_runs

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from typing import List
 
-from ..algorithms import ALGORITHMS, SequentialGather, WaitFreeGather
+from ..algorithms import ALGORITHMS, SequentialGather
 from ..core import Configuration
-from ..geometry import Point
 from ..sim import CrashAtRounds, Simulation, summarize_runs
 from ..workloads import generate
 from .report import Table
-from .runner import Scenario, make_movement, make_scheduler, run_batch
+from .runner import make_movement, make_scheduler
 
 __all__ = ["run", "count_staying_locations"]
 

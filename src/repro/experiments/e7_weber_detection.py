@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from typing import List
 
-from ..core import Configuration, classify, quasi_regularity
+from ..core import Configuration, quasi_regularity
 from ..geometry import Point, geometric_median
 from ..workloads import break_symmetry, generate
 from .report import Table

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 __all__ = ["Table", "format_cell"]
 

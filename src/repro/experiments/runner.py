@@ -21,7 +21,7 @@ import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
@@ -41,7 +41,6 @@ from ..sim import (
     CollusiveStop,
     HalfSplitAdversary,
     CrashAfterMove,
-    CrashAtRounds,
     CrashElected,
     FullySynchronous,
     LaggardAdversary,
@@ -76,9 +75,10 @@ __all__ = [
     "make_movement",
 ]
 
-#: Seeds stepped together per :class:`~repro.sim.BatchedSimulation` in a
-#: batched sweep.  Large enough to amortize the per-round kernel calls,
-#: small enough that a chunk retry after a worker crash stays cheap.
+#: Most seeds stepped together per :class:`~repro.sim.BatchedSimulation`
+#: in a batched sweep.  Large enough to amortize the per-round kernel
+#: calls, small enough that a chunk retry after a worker crash stays
+#: cheap.  :func:`run_batch` may make chunks smaller, never larger.
 DEFAULT_BATCH_SIZE = 64
 
 
@@ -365,8 +365,9 @@ def run_batched(
     :data:`DEFAULT_BATCH_SIZE`) at a time through
     :class:`~repro.sim.BatchedSimulation`; each result is
     seed-equivalent to :func:`run_scenario` on the ``"atom"`` engine and
-    independent of the chunking (kernel padding is inert), so any
-    ``batch_size`` returns the same results.
+    independent of the chunking (kernel padding is inert, and a sim's
+    Weber solve does not depend on its batch), so any ``batch_size``
+    returns the same results.
     """
     seeds = list(seeds)
     size = resolve_batch_size(batch_size)
@@ -464,6 +465,17 @@ def parallel_map(
     return [fn(x) for x in items]
 
 
+def _pool_width(
+    workers: Optional[int], pool: Optional[ResilientExecutor]
+) -> int:
+    """Processes a batched sweep's chunks spread over: a resilient
+    pool's own worker count, else ``workers`` (:func:`parallel_map`
+    opens a pool of that many), else 1."""
+    if isinstance(pool, ResilientExecutor):
+        return max(1, pool.workers)
+    return max(1, workers or 1)
+
+
 def _archive_slug(label: str) -> str:
     """Filesystem-safe corpus file stem for a scenario label."""
     return re.sub(r"[^A-Za-z0-9._-]+", "_", label).strip("_")
@@ -516,9 +528,13 @@ def run_batch(
     seeds in completion order; ``on_failure(key, exc, strike)`` fires
     per failed attempt.  The live sweep dashboard hangs off both.
 
-    A ``"batched"`` scenario shards the seed range into chunks of
-    ``batch_size`` (default :data:`DEFAULT_BATCH_SIZE`) and steps each
-    chunk through one :class:`~repro.sim.BatchedSimulation` — the work
+    A ``"batched"`` scenario shards the seed range into contiguous
+    chunks of at most ``batch_size`` (default :data:`DEFAULT_BATCH_SIZE`)
+    seeds, and no larger than an even share of the seeds per pool worker
+    (``pool.workers``, else ``workers``), so a call with fewer than
+    ``workers * batch_size`` seeds still gives every worker a chunk
+    while a larger one keeps full ``batch_size`` chunks.  Each chunk
+    steps through one :class:`~repro.sim.BatchedSimulation` — the work
     unit distributed to the pool, retried, and journalled is the chunk,
     but the journal records and ``on_seed_result`` fires per seed, so
     dashboard/aggregator/resume behave exactly as on the scalar engines
@@ -556,6 +572,10 @@ def run_batch(
             # share this copy: a forked worker importing its own peaks
             # about 4 MB higher (measured on Linux, Python 3.11).
             kernels.numpy_module()
+            # An even share per worker when the seeds would not fill
+            # every worker's chunk; never a chunk over ``batch_size``.
+            width = _pool_width(workers, pool)
+            size = max(1, min(size, -(-len(todo) // width)))
             chunks = [todo[i : i + size] for i in range(0, len(todo), size)]
 
             def checkpoint_chunk(index: int, results) -> None:

@@ -17,7 +17,6 @@ asymptotics are irrelevant; determinism is not.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence

@@ -20,7 +20,7 @@ classifier reports ``"nonlinear"`` for anything beyond ``B/M/L1W/L2W``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 __all__ = [
     "ExactPoint",

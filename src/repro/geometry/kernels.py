@@ -363,54 +363,91 @@ def batched_weiszfeld(
     Each sim's slice runs the iteration of
     ``repro.geometry.weber._weiszfeld`` with its stopping rule: stop
     when an iterate moves at most ``eps_solver`` or after
-    ``max_iterations`` steps.  Converged sims freeze (their iterate and
-    iteration count stop changing) while the rest continue.  NumPy sums
-    round differently from the reference's left-to-right additions, so
-    iterates agree within ``eps_solver``, not to the bit; callers
-    re-certify the result per sim (`is_weber_point`).  Returns one
-    ``(x, y, iterations)`` per sim.
+    ``max_iterations`` steps.  The still-running sims are kept in
+    compacted ``(k, n)`` arrays; a sim's row is written out and dropped
+    the step it stops, so late steps only touch the few slow sims.
+    Every elementwise operation and per-row sum is the same on any set
+    of rows, so a sim's result does not depend on the batch it is
+    solved in.  NumPy sums round differently from the reference's
+    left-to-right additions, so iterates agree within ``eps_solver``,
+    not to the bit; callers re-certify the result per sim
+    (`is_weber_point`).  Returns one ``(x, y, iterations)`` per sim.
     """
     pts = _np.asarray(points, dtype=_np.float64)
-    px = pts[:, :, 0]
-    py = pts[:, :, 1]
     st = _np.asarray(starts, dtype=_np.float64)
-    x = st[:, 0].copy()
-    y = st[:, 1].copy()
-    s_count, n = px.shape
-    iters = _np.zeros(s_count, dtype=_np.int64)
-    active = _np.ones(s_count, dtype=bool)
-    for _ in range(max_iterations):
-        ia = _np.flatnonzero(active)
-        if ia.size == 0:
-            break
-        iters[ia] += 1
-        dx = px[ia] - x[ia, None]
-        dy = py[ia] - y[ia, None]
+    s_count = pts.shape[0]
+    out_x = st[:, 0].copy()
+    out_y = st[:, 1].copy()
+    iters = _np.full(s_count, max_iterations, dtype=_np.int64)
+    # The running sims: their original rows, points and iterates.
+    rows = _np.arange(s_count)
+    px = _np.ascontiguousarray(pts[:, :, 0])
+    py = _np.ascontiguousarray(pts[:, :, 1])
+    x = out_x.copy()
+    y = out_y.copy()
+    for step in range(1, max_iterations + 1):
+        dx = px - x[:, None]
+        dy = py - y[:, None]
         d = _np.hypot(dx, dy)
         mask = d > eps_solver
-        with _np.errstate(divide="ignore"):
-            w = _np.where(mask, 1.0 / d, 0.0)
-        wsum = w.sum(axis=1)
-        far = mask.sum(axis=1)
-        degenerate = far == 0  # every point at the iterate: optimal
-        safe_wsum = _np.where(degenerate, 1.0, wsum)
-        tx = (px[ia] * w).sum(axis=1) / safe_wsum
-        ty = (py[ia] * w).sum(axis=1) / safe_wsum
-        at_x = n - far
-        rx = (dx * w).sum(axis=1)
-        ry = (dy * w).sum(axis=1)
-        r_norm = _np.hypot(rx, ry)
-        # Vardi-Zhang pull-back for sims with co-located mass; a zero
-        # residual there means the iterate is a fixpoint (stop as-is).
-        stuck = (at_x > 0) & (r_norm == 0.0)
-        beta = _np.minimum(1.0, at_x / _np.where(r_norm > 0.0, r_norm, 1.0))
-        nx = _np.where(at_x == 0, tx, x[ia] + (1.0 - beta) * (tx - x[ia]))
-        ny = _np.where(at_x == 0, ty, y[ia] + (1.0 - beta) * (ty - y[ia]))
-        hold = degenerate | stuck
-        nx = _np.where(hold, x[ia], nx)
-        ny = _np.where(hold, y[ia], ny)
-        moved = _np.hypot(nx - x[ia], ny - y[ia])
-        x[ia] = nx
-        y[ia] = ny
-        active[ia[hold | (moved <= eps_solver)]] = False
-    return list(zip(x.tolist(), y.tolist(), iters.tolist()))
+        if mask.all():
+            # No running sim has an input point at its iterate: the
+            # plain Weiszfeld step, with no Vardi-Zhang residual.  Most
+            # steps of a sweep take it.  `_vardi_zhang_step` gives the
+            # same bits on these rows, but running it on every step
+            # more than doubles the kernel's time on sweep inputs.
+            w = 1.0 / d
+            wsum = w.sum(axis=1)
+            nx = (px * w).sum(axis=1) / wsum
+            ny = (py * w).sum(axis=1) / wsum
+            stop = _np.hypot(nx - x, ny - y) <= eps_solver
+        else:
+            nx, ny, stop = _vardi_zhang_step(
+                px, py, x, y, dx, dy, d, mask, eps_solver
+            )
+        x = nx
+        y = ny
+        if stop.any():
+            done = rows[stop]
+            out_x[done] = x[stop]
+            out_y[done] = y[stop]
+            iters[done] = step
+            keep = ~stop
+            rows = rows[keep]
+            px = px[keep]
+            py = py[keep]
+            x = x[keep]
+            y = y[keep]
+            if rows.size == 0:
+                break
+    out_x[rows] = x
+    out_y[rows] = y
+    return list(zip(out_x.tolist(), out_y.tolist(), iters.tolist()))
+
+
+def _vardi_zhang_step(px, py, x, y, dx, dy, d, mask, eps_solver):
+    """One Weiszfeld step of :func:`batched_weiszfeld` when some running
+    sim has input points at its iterate (``mask`` is False there).
+
+    Those sims take the Vardi-Zhang pull-back; a sim whose points all
+    sit at its iterate, or whose residual pull is zero, is at a
+    fixpoint and holds.  Returns the next iterates and the stop mask.
+    """
+    w = _np.divide(1.0, d, out=_np.zeros_like(d), where=mask)
+    far = mask.sum(axis=1)
+    hold = far == 0  # every point at the iterate: optimal
+    safe_wsum = _np.where(hold, 1.0, w.sum(axis=1))
+    tx = (px * w).sum(axis=1) / safe_wsum
+    ty = (py * w).sum(axis=1) / safe_wsum
+    at_x = px.shape[1] - far
+    pulled = at_x > 0
+    rx = (dx * w).sum(axis=1)
+    ry = (dy * w).sum(axis=1)
+    r_norm = _np.hypot(rx, ry)
+    hold |= pulled & (r_norm == 0.0)
+    beta = _np.minimum(1.0, at_x / _np.where(r_norm > 0.0, r_norm, 1.0))
+    nx = _np.where(pulled, x + (1.0 - beta) * (tx - x), tx)
+    ny = _np.where(pulled, y + (1.0 - beta) * (ty - y), ty)
+    nx = _np.where(hold, x, nx)
+    ny = _np.where(hold, y, ny)
+    return nx, ny, hold | (_np.hypot(nx - x, ny - y) <= eps_solver)

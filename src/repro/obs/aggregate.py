@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..resilience import SeedTimeoutError, atomic_write
 from .histogram import Histogram

@@ -21,6 +21,7 @@ from .atomic import atomic_write, fsync_handle, promote
 from .chaos import CHAOS_ENV, KILL_EXIT_CODE, ChaosPolicy
 from .errors import (
     ChaosInjectedError,
+    ListenError,
     OutputPathError,
     ReproError,
     RequestDeadlineError,
@@ -43,6 +44,7 @@ __all__ = [
     "ServerDrainingError",
     "RequestDeadlineError",
     "OutputPathError",
+    "ListenError",
     "atomic_write",
     "fsync_handle",
     "promote",

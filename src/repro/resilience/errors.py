@@ -26,6 +26,7 @@ __all__ = [
     "ServerDrainingError",
     "RequestDeadlineError",
     "OutputPathError",
+    "ListenError",
 ]
 
 
@@ -132,6 +133,17 @@ class OutputPathError(ReproError, OSError):
 
     Exit code 2, like an argparse usage error: the path was wrong, not
     the computation.
+    """
+
+    exit_code = 2
+
+
+class ListenError(ReproError, OSError):
+    """``repro serve`` cannot listen on the address it was given, e.g.
+    because another process holds the port.
+
+    Exit code 2, like :class:`OutputPathError`: the address was wrong,
+    not the computation.
     """
 
     exit_code = 2

@@ -73,6 +73,7 @@ from ..obs.sink import JsonlStream
 from ..obs.spans import SPANS_SCHEMA
 from ..resilience import (
     ChaosPolicy,
+    ListenError,
     OutputPathError,
     ReproError,
     RequestDeadlineError,
@@ -156,25 +157,10 @@ class ReproServer:
         access_log: Optional[str] = None,
         trace_jsonl: Optional[str] = None,
     ) -> None:
-        # Telemetry files open first: a path that cannot be written then
-        # fails before any pool, log sink or obs state exists.
-        meta = {"source": "repro-serve", "version": __version__}
-        self._access_sink: Optional[JsonlStream] = None
-        if access_log:
-            self._access_sink = JsonlStream(access_log, LOG_SCHEMA, meta)
-        #: Per-request span trees stream here (one repro-spans-v1 file
-        #: shared by all handler threads); ``None`` disables request
-        #: tracing entirely — no span objects are built.
-        self._trace_writer: Optional[JsonlStream] = None
-        if trace_jsonl:
-            try:
-                self._trace_writer = JsonlStream(
-                    trace_jsonl, SPANS_SCHEMA, meta
-                )
-            except OutputPathError:
-                if self._access_sink is not None:
-                    self._access_sink.close()
-                raise
+        # In-memory state first (its argument checks acquire nothing);
+        # then the telemetry files open and the socket binds, so a path
+        # that cannot be written, or a port already taken, fails before
+        # any pool, log sink or obs state exists.
         self.policy = policy or RunPolicy()
         if chaos is None:
             chaos = ChaosPolicy.from_env()
@@ -204,6 +190,29 @@ class ReproServer:
         self._draining = False
         self._chaos_lock = threading.Lock()
         self._chaos_seq: Dict[str, int] = {}
+        meta = {"source": "repro-serve", "version": __version__}
+        self._access_sink: Optional[JsonlStream] = None
+        if access_log:
+            self._access_sink = JsonlStream(access_log, LOG_SCHEMA, meta)
+        #: Per-request span trees stream here (one repro-spans-v1 file
+        #: shared by all handler threads); ``None`` disables request
+        #: tracing entirely — no span objects are built.
+        self._trace_writer: Optional[JsonlStream] = None
+        if trace_jsonl:
+            try:
+                self._trace_writer = JsonlStream(
+                    trace_jsonl, SPANS_SCHEMA, meta
+                )
+            except OutputPathError:
+                self._close_telemetry()
+                raise
+        try:
+            self.httpd = _Server((host, port), _Handler)
+        except OSError as exc:
+            self._close_telemetry()
+            raise ListenError(
+                f"cannot listen on {host}:{port}: {exc.strerror or exc}"
+            ) from exc
         self._pool = None
         self._pool_cm = None
         if workers and workers > 1:
@@ -226,7 +235,6 @@ class ReproServer:
             log_hub.add_sink(self._access_sink.write)
         self.started = time.monotonic()
         self._serving = threading.Event()
-        self.httpd = _Server((host, port), _Handler)
         self.httpd.app = self
 
     @property
@@ -288,9 +296,13 @@ class ReproServer:
         if self._pool_cm is not None:
             self._pool_cm.__exit__(None, None, None)
             self._pool_cm = self._pool = None
+        self._close_telemetry()
+
+    def _close_telemetry(self) -> None:
+        """Close the span trace and the access log.  Closing promotes
+        ``<path>.partial`` of the spans file to its final name, so it
+        becomes whole exactly when the daemon finishes draining."""
         if self._trace_writer is not None:
-            # Promotes <path>.partial to its final name: the spans file
-            # becomes whole exactly when the daemon finishes draining.
             self._trace_writer.close()
             self._trace_writer = None
         if self._access_sink is not None:

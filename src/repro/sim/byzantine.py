@@ -16,7 +16,7 @@ by — the correct robots, who cannot tell it apart from a teammate.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Protocol, Sequence
+from typing import Dict, Protocol, Sequence
 
 from ..geometry import Point, centroid
 

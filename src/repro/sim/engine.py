@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..algorithms.base import GatheringAlgorithm
@@ -67,7 +67,7 @@ from .. import obs as _obs
 from ..obs.events import RoundEvent
 from .faults import CrashAdversary, NoCrashes
 from .gathering import gathered_point
-from .lcm import ActivationModel, AtomicActivation, PendingMove, PhasedActivation
+from .lcm import ActivationModel, AtomicActivation, PendingMove
 from .movement import MovementModel, RigidMovement
 from .robot import Robot
 from .scheduler import FairnessWrapper, FullySynchronous, Scheduler

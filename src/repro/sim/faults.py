@@ -16,7 +16,7 @@ aimed at the proofs' progress arguments:
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Protocol, Sequence, Set
+from typing import Dict, Protocol, Sequence, Set
 
 from ..core import Configuration
 from ..geometry import Point

@@ -32,7 +32,7 @@ pins both models bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Protocol, runtime_checkable
+from typing import Dict, Iterable, Protocol, runtime_checkable
 
 from ..geometry import Point
 

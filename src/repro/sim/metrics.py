@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..geometry import Point
 from .engine import SimulationResult

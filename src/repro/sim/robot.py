@@ -9,7 +9,7 @@ traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..geometry import IDENTITY_FRAME, Frame, Point

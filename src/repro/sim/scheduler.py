@@ -27,7 +27,7 @@ quantify over:
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Protocol, Sequence, Set
+from typing import Optional, Protocol, Sequence, Set
 
 __all__ = [
     "Scheduler",

@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core import ConfigClass, Configuration
 from ..geometry import DEFAULT_TOLERANCE, Point, Tolerance

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core import (
-    ConfigClass,
     Configuration,
     classify,
     quasi_regularity,

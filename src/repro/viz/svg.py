@@ -10,7 +10,7 @@ circles, lines, polylines, paths, rectangles, text and groups.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 from xml.sax.saxutils import escape, quoteattr
 
 __all__ = ["SvgDocument"]

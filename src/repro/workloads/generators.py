@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from ..core import ConfigClass, Configuration, classify
-from ..geometry import DEFAULT_TOLERANCE, Point, Tolerance, rotate_clockwise
+from ..geometry import DEFAULT_TOLERANCE, Point
 
 __all__ = [
     "random_points",

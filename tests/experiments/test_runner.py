@@ -13,6 +13,7 @@ from repro.experiments.runner import (
     run_batch,
     run_scenario,
 )
+from repro.resilience import ChaosPolicy, ResilientExecutor
 
 
 class TestFactories:
@@ -117,6 +118,54 @@ class TestParallelRunner:
             first = run_batch(scenario, range(2), pool=pool)
             second = run_batch(scenario, range(2), pool=pool)
         assert [r.rounds for r in first] == [r.rounds for r in second]
+
+
+class TestBatchedChunks:
+    """How ``run_batch`` splits a batched sweep into pool work units."""
+
+    @pytest.fixture
+    def dispatched(self, monkeypatch):
+        """Record the chunks ``run_batch`` hands its pool, which never
+        starts: each seed gets a placeholder result."""
+        pytest.importorskip("numpy")
+        monkeypatch.delenv("REPRO_ARCHIVE_DIR", raising=False)
+        calls = []
+
+        def fake_map(self, fn, items, **kwargs):
+            calls.append([list(chunk) for chunk in items])
+            return [[None] * len(chunk) for chunk in items]
+
+        monkeypatch.setattr(ResilientExecutor, "map_resilient", fake_map)
+        return calls
+
+    @pytest.mark.parametrize("via", ["pool", "workers"])
+    @pytest.mark.parametrize(
+        "total, width, sizes",
+        [
+            # Fewer than width * batch_size seeds: one even share each.
+            (64, 2, [32, 32]),
+            (65, 2, [33, 32]),
+            (3, 8, [1, 1, 1]),
+            # Enough to fill every worker: full batch_size chunks.
+            (128, 2, [64, 64]),
+            (130, 2, [64, 64, 2]),
+            (150, 2, [64, 64, 22]),
+            (130, 1, [64, 64, 2]),
+            (0, 2, []),
+        ],
+    )
+    def test_chunk_sizes(self, dispatched, via, total, width, sizes):
+        scenario = Scenario(workload="random", n=8, f=2, engine="batched")
+        seeds = list(range(100, 100 + total))
+        with ResilientExecutor(width) as pool:
+            kwargs = {"pool": pool} if via == "pool" else {"workers": width}
+            run_batch(
+                scenario, seeds, batch_size=64, chaos=ChaosPolicy(), **kwargs
+            )
+        [chunks] = dispatched
+        assert [len(chunk) for chunk in chunks] == sizes
+        # Contiguous slices in seed order: flattening restores the seeds.
+        assert [seed for chunk in chunks for seed in chunk] == seeds
 
 
 class TestRegistry:

@@ -19,8 +19,15 @@ evidence the equivariance argument holds end to end.
 
 import pytest
 
-from repro.experiments.runner import Scenario, run_batched, run_scenario
+from repro.experiments.runner import (
+    Scenario,
+    executor,
+    run_batch,
+    run_batched,
+    run_scenario,
+)
 from repro.geometry.kernels import KERNEL_MIN_N
+from repro.resilience import ChaosPolicy
 
 pytest.importorskip("numpy")
 
@@ -112,3 +119,40 @@ def test_seeded_workloads_match_scalar(workload, n):
     batched = run_batched(scenario, seeds)
     for seed, b in zip(seeds, batched):
         assert_equivalent(run_scenario(scalar_scenario, seed), b)
+
+
+def test_pooled_sweep_matches_serial_seed_for_seed(monkeypatch):
+    """64 seeds with ``batch_size=64`` on a 2-worker pool make one chunk
+    per worker, each seeding its memos from the NumPy kernels; every
+    seed's result equals the serial single-chunk run exactly."""
+    scenario = Scenario(
+        workload="random",
+        n=KERNEL_MIN_N,
+        f=2,
+        max_rounds=2_000,
+        engine="batched",
+    )
+    seeds = list(range(64))
+    serial = run_batched(scenario, seeds, batch_size=64)
+    with executor(2) as pool:
+        dispatched = []
+        map_resilient = pool.map_resilient
+
+        def spy(fn, items, **kwargs):
+            dispatched.append([len(chunk) for chunk in items])
+            return map_resilient(fn, items, **kwargs)
+
+        monkeypatch.setattr(pool, "map_resilient", spy)
+        pooled = run_batch(
+            scenario, seeds, pool=pool, batch_size=64, chaos=ChaosPolicy()
+        )
+    assert dispatched == [[32, 32]]
+    for expected, got in zip(serial, pooled):
+        assert got.verdict == expected.verdict
+        assert got.rounds == expected.rounds
+        assert got.final_positions == expected.final_positions
+        assert got.live_ids == expected.live_ids
+        assert got.crashed_ids == expected.crashed_ids
+        assert got.gathering_point == expected.gathering_point
+        assert got.total_distance == expected.total_distance
+        assert got.classes_seen == expected.classes_seen

@@ -12,7 +12,10 @@ the single-configuration code of :mod:`repro.core` and
 Ray loads and views must match exactly.  ``batched_weiszfeld`` sums in
 NumPy's order, not the reference's left-to-right order, so its iterate
 is only asserted within ``eps_solver`` of the reference's; the batched
-engine re-certifies every seeded Weber point.
+engine re-certifies every seeded Weber point.  What must hold to the bit
+is batch independence: a sim solved alone and the same sim inside any
+mixed batch return the same ``(x, y, iterations)``, which is what makes
+a batched sweep's results independent of its chunking.
 """
 
 import math
@@ -121,6 +124,84 @@ def test_batched_weiszfeld_matches_2d():
     for pts, start, (gx, gy, _) in zip(sets, starts, batched):
         ex, ey, _ = _weiszfeld(pts, start, TOL.eps_solver, 10_000)
         assert math.hypot(gx - ex, gy - ey) <= TOL.eps_solver
+
+
+def _weiszfeld_cases(n):
+    """Sims of ``n`` points, each ``(points, start)``, covering every
+    branch of the batched solver."""
+    rng = random.Random(n)
+    cases = []
+    for _ in range(6):  # plain Weiszfeld from the centroid
+        pts = [(rng.uniform(-50, 50), rng.uniform(-50, 50)) for _ in range(n)]
+        start = (sum(x for x, _ in pts) / n, sum(y for _, y in pts) / n)
+        cases.append((pts, start))
+    for k in range(3):  # start on an input point: Vardi-Zhang pull-back
+        pts = [
+            (float(rng.randint(-4, 4)), float(rng.randint(-4, 4)))
+            for _ in range(n)
+        ]
+        cases.append((pts, pts[k]))
+    # Co-located mass at the start: two points share it.
+    pts = [(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(n - 2)]
+    cases.append((pts + [pts[0], pts[0]], pts[0]))
+    # All co-located, started on them (degenerate) and started off them.
+    here = (rng.uniform(-9, 9), rng.uniform(-9, 9))
+    cases.append(([here] * n, here))
+    cases.append(([here] * n, (here[0] + 3.0, here[1] - 1.0)))
+    # Symmetric around the start: zero residual pull, a fixpoint.
+    ring = [
+        (math.cos(2 * math.pi * i / n), math.sin(2 * math.pi * i / n))
+        for i in range(n - 1)
+    ]
+    cases.append((ring + [(0.0, 0.0)], (0.0, 0.0)))
+    return cases
+
+
+def _bits(results):
+    return [(x.hex(), y.hex(), its) for x, y, its in results]
+
+
+@pytest.mark.parametrize("n", [3, 8, 16])
+@pytest.mark.parametrize("max_iterations", [1, 3, 25, 10_000])
+def test_batched_weiszfeld_is_batch_independent(n, max_iterations):
+    """Alone or in a mixed batch, every sim's solve is the same to the
+    bit, including sims still running when ``max_iterations`` ends."""
+    cases = _weiszfeld_cases(n)
+    alone = [
+        kernels.batched_weiszfeld([pts], [start], TOL.eps_solver,
+                                  max_iterations)[0]
+        for pts, start in cases
+    ]
+    order = list(range(len(cases)))
+    random.Random(max_iterations).shuffle(order)
+    mixed = kernels.batched_weiszfeld(
+        [cases[i][0] for i in order],
+        [cases[i][1] for i in order],
+        TOL.eps_solver,
+        max_iterations,
+    )
+    assert _bits(mixed) == _bits([alone[i] for i in order])
+    steps = {its for _, _, its in alone}
+    if max_iterations == 3:
+        # Some sims were cut off by the cap, others stopped on their own.
+        assert max_iterations in steps and len(steps) > 1
+    assert max(steps) <= max_iterations
+
+
+def test_batched_weiszfeld_holds_degenerate_and_fixpoint_sims():
+    """An all-co-located sim started on its points, and a sim started
+    on an input point that holds against the pull of the others, stop
+    after one step exactly where they started."""
+    here = (2.5, -1.25)
+    ring = [(math.cos(2 * math.pi * i / 5), math.sin(2 * math.pi * i / 5))
+            for i in range(5)]
+    got = kernels.batched_weiszfeld(
+        [[here] * 6, ring + [(0.0, 0.0)]],
+        [here, (0.0, 0.0)],
+        TOL.eps_solver,
+        10_000,
+    )
+    assert got == [(2.5, -1.25, 1), (0.0, 0.0, 1)]
 
 
 @pytest.mark.parametrize(

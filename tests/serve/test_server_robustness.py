@@ -9,6 +9,7 @@ never desyncs a keep-alive connection, and ``/metrics`` exposes it all.
 """
 
 import json
+import os
 import socket
 import struct
 import threading
@@ -397,3 +398,39 @@ class TestUnwritableTelemetryPath:
             isinstance(getattr(sink, "__self__", None), JsonlStream)
             for sink in log_hub._sinks
         )
+
+
+class TestPortInUse:
+    """``repro serve --port P`` with P already taken is one ``error:``
+    line and exit 2.  It binds before it touches obs state, the log hub
+    or the pool, so the failed start leaves all three as it found them.
+    """
+
+    def test_taken_port_is_one_line_and_changes_nothing(
+        self, tmp_path, capsys
+    ):
+        from repro import obs
+        from repro.cli import main
+
+        obs_before = (obs.state.enabled, os.environ.get("REPRO_OBS"))
+        sinks_before = list(log_hub._sinks)
+        exempt_before = set(log_hub.rate_exempt)
+        access = tmp_path / "access.jsonl"
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen(1)
+            port = holder.getsockname()[1]
+            code = main(["serve", "--port", str(port), "--workers", "2",
+                         "--access-log", str(access)])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0, err
+        assert err.startswith("error: cannot listen on 127.0.0.1:")
+        assert str(port) in err
+        assert (obs.state.enabled, os.environ.get("REPRO_OBS")) == obs_before
+        assert log_hub._sinks == sinks_before
+        assert log_hub.rate_exempt == exempt_before
+        # The access log opened before the bind is closed again.
+        from repro.obs import read_stream
+
+        assert read_stream(str(access)).records == []

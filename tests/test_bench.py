@@ -2,6 +2,8 @@
 
 import json
 import os
+import shutil
+import subprocess
 
 import pytest
 
@@ -83,3 +85,50 @@ class TestBenchDocument:
         assert batched["per_seed_round_s"] == pytest.approx(
             batched["round_s"] / batched["n_sims"]
         )
+
+
+class TestGitState:
+    """Each history entry names the commit it ran on and whether the
+    tracked files differed from it (``git_dirty``)."""
+
+    @staticmethod
+    def _git(repo, *args):
+        subprocess.run(
+            ["git", "-c", "user.name=bench", "-c", "user.email=bench@test",
+             *args],
+            cwd=repo, check=True, capture_output=True,
+        )
+
+    def test_clean_and_dirty_checkouts(self, tmp_path, monkeypatch):
+        if shutil.which("git") is None:
+            pytest.skip("git is not installed")
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        self._git(repo, "init", "-q")
+        (repo / "code.py").write_text("x = 1\n")
+        self._git(repo, "add", "code.py")
+        self._git(repo, "commit", "-q", "-m", "first")
+        monkeypatch.chdir(repo)
+        path = tmp_path / "bench.json"
+        document = {"schema": SCHEMA, "generated_at": "2026-01-01T00:00:00"}
+
+        # An untracked file does not make the tree dirty.
+        (repo / "notes.txt").write_text("notes\n")
+        write_bench(document, str(path))
+        (repo / "code.py").write_text("x = 2\n")
+        write_bench(document, str(path))
+
+        runs = json.loads(path.read_text())["runs"]
+        assert [run["git_dirty"] for run in runs] == [False, True]
+        sha = runs[0]["git_sha"]
+        assert sha and len(sha) == 40 and runs[1]["git_sha"] == sha
+
+    def test_outside_a_checkout(self, tmp_path, monkeypatch):
+        outside = tmp_path / "plain"
+        outside.mkdir()
+        monkeypatch.chdir(outside)
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+        path = tmp_path / "bench.json"
+        write_bench({"schema": SCHEMA}, str(path))
+        run = json.loads(path.read_text())["runs"][0]
+        assert run["git_sha"] is None and run["git_dirty"] is None
