@@ -66,6 +66,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from typing import List, Optional, Tuple
 
 from .algorithms import ALGORITHMS
@@ -78,38 +79,70 @@ from .core import (
 )
 from .experiments import EXPERIMENTS, run_experiment
 from .experiments.report import Table
-from .experiments.runner import (
-    Scenario,
-    make_crashes,
-    make_scheduler,
-    run_scenario,
-)
+from .experiments.runner import AXES, Scenario, run_scenario
 from .geometry import DEFAULT_TOLERANCE
 from .resilience import ReproError, RunPolicy, SweepJournal, TraceFormatError
-from .sim import Simulation
 from .sim.trace import TraceMeta
 from .workloads import CLASS_GENERATORS, generate
 
 __all__ = ["main", "build_parser"]
 
-#: Registry names accepted by the scenario flags — one list per axis so
-#: the subcommands cannot drift apart from each other or from the
-#: runner's ``_SCHEDULERS`` / ``_MOVEMENTS`` registries.
-_SCHEDULER_CHOICES = [
-    "fsync", "round-robin", "random", "laggard", "half-split", "poisson",
-]
-_MOVEMENT_CHOICES = [
-    "rigid", "adversarial-stop", "random-stop", "collusive-stop",
-    "per-robot-speed",
-]
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count or size that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}"
+        )
+    return value
 
 
-def _add_visibility_flag(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument(
-        "--visibility", type=float, default=None, metavar="R",
-        help="finite visibility radius for every LOOK snapshot "
-             "(default: unlimited, the paper's model)",
-    )
+def _add_scenario_flags(
+    cmd: argparse.ArgumentParser,
+    *,
+    crashes: str = "random",
+    engines: Tuple[str, ...] = ("atom", "async"),
+    model: bool = True,
+) -> None:
+    """One flag per :class:`Scenario` field, its choices from the
+    runner's registries (:data:`~repro.experiments.runner.AXES`), its
+    default the field's.  ``model=False`` leaves out the movement,
+    round budget, engine and visibility flags."""
+    default = {f.name: f.default for f in fields(Scenario)}
+    cmd.add_argument("--workload", default="random",
+                     choices=sorted(AXES["workload"]))
+    cmd.add_argument("--n", type=int, default=8)
+    cmd.add_argument("--algorithm", default=default["algorithm"],
+                     choices=sorted(AXES["algorithm"]))
+    cmd.add_argument("--scheduler", default=default["scheduler"],
+                     choices=AXES["scheduler"])
+    cmd.add_argument("--crashes", default=crashes, choices=AXES["crashes"])
+    cmd.add_argument("--f", type=int, default=default["f"],
+                     help="fault budget (crashes)")
+    if not model:
+        return
+    cmd.add_argument("--movement", default=default["movement"],
+                     choices=AXES["movement"])
+    cmd.add_argument("--max-rounds", type=int, default=default["max_rounds"])
+    cmd.add_argument("--engine", default=default["engine"], choices=engines,
+                     help="execution model: the paper's ATOM rounds, the "
+                          "ASYNC (CORDA) tick engine or, for a sweep, "
+                          "'batched' (many seeds per vectorized round)")
+    cmd.add_argument("--visibility", type=float, default=None, metavar="R",
+                     help="finite visibility radius for every LOOK "
+                          "snapshot (default: unlimited, the paper's model)")
+
+
+def _scenario(args: argparse.Namespace, **fixed) -> Scenario:
+    """The :class:`Scenario` the scenario flags name; ``Scenario``
+    itself refuses a bad one (exit 2, one ``error:`` line)."""
+    names = {f.name for f in fields(Scenario)}
+    given = {k: v for k, v in vars(args).items() if k in names}
+    return Scenario(**given, **fixed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,22 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run one simulation")
-    sim.add_argument("--workload", default="random", choices=sorted(CLASS_GENERATORS))
-    sim.add_argument("--n", type=int, default=8)
-    sim.add_argument("--algorithm", default="wait-free-gather", choices=sorted(ALGORITHMS))
-    sim.add_argument("--scheduler", default="random",
-                     choices=_SCHEDULER_CHOICES)
-    sim.add_argument("--crashes", default="random",
-                     choices=["none", "random", "after-move", "elected"])
-    sim.add_argument("--f", type=int, default=0, help="fault budget (crashes)")
-    sim.add_argument("--movement", default="random-stop",
-                     choices=_MOVEMENT_CHOICES)
+    sim.set_defaults(handler=_cmd_simulate)
+    _add_scenario_flags(sim)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--max-rounds", type=int, default=20_000)
-    sim.add_argument("--engine", default="atom", choices=["atom", "async"],
-                     help="execution model: the paper's ATOM rounds or the "
-                          "ASYNC (CORDA) tick engine")
-    _add_visibility_flag(sim)
     sim.add_argument("--trace", action="store_true", help="print the round transcript")
     sim.add_argument(
         "--save-trace",
@@ -157,11 +177,13 @@ def build_parser() -> argparse.ArgumentParser:
                           "convert with 'repro trace-export')")
 
     cls = sub.add_parser("classify", help="classify a generated workload")
+    cls.set_defaults(handler=_cmd_classify)
     cls.add_argument("--workload", default="random", choices=sorted(CLASS_GENERATORS))
     cls.add_argument("--n", type=int, default=8)
     cls.add_argument("--seed", type=int, default=0)
 
     exp = sub.add_parser("experiment", help="run experiments E1-E17")
+    exp.set_defaults(handler=_cmd_experiment)
     exp.add_argument("id", choices=sorted(EXPERIMENTS) + ["all"])
     exp.add_argument("--full", action="store_true",
                      help="full parameter sweep (slow); default is quick mode")
@@ -182,6 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="record the published scaling numbers, append JSON",
     )
+    bench.set_defaults(handler=_cmd_bench)
     bench.add_argument("--output", default="BENCH_micro.json",
                        help="path of the JSON report (default: BENCH_micro.json)")
     bench.add_argument("--quick", action="store_true",
@@ -193,6 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         "hunt",
         help="run the greedy adversarial search for the bivalent trap",
     )
+    hunt.set_defaults(handler=_cmd_hunt)
     hunt.add_argument("--workload", default="unsafe-ray", choices=sorted(CLASS_GENERATORS))
     hunt.add_argument("--n", type=int, default=8)
     hunt.add_argument("--algorithm", default="wait-free-gather", choices=sorted(ALGORITHMS))
@@ -210,6 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
             "on any mismatch."
         ),
     )
+    check.set_defaults(handler=_cmd_check)
     check.add_argument("--replay", metavar="TRACE", nargs="+", default=[],
                        help="trace JSON files to re-simulate and compare "
                             "bit for bit")
@@ -222,15 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     render = sub.add_parser(
         "render", help="render a simulation run (or a snapshot) as SVG"
     )
+    render.set_defaults(handler=_cmd_render)
     render.add_argument("output", help="path of the .svg file to write")
-    render.add_argument("--workload", default="random", choices=sorted(CLASS_GENERATORS))
-    render.add_argument("--n", type=int, default=8)
-    render.add_argument("--algorithm", default="wait-free-gather", choices=sorted(ALGORITHMS))
-    render.add_argument("--scheduler", default="random",
-                        choices=_SCHEDULER_CHOICES)
-    render.add_argument("--crashes", default="none",
-                        choices=["none", "random", "after-move", "elected"])
-    render.add_argument("--f", type=int, default=0)
+    _add_scenario_flags(render, crashes="none", model=False)
     render.add_argument("--seed", type=int, default=0)
     render.add_argument("--snapshot", action="store_true",
                         help="render the initial configuration only (no run)")
@@ -252,30 +271,16 @@ def build_parser() -> argparse.ArgumentParser:
             "from the REPRO_CHAOS environment variable."
         ),
     )
-    sweep.add_argument("--workload", default="random", choices=sorted(CLASS_GENERATORS))
-    sweep.add_argument("--n", type=int, default=8)
-    sweep.add_argument("--algorithm", default="wait-free-gather", choices=sorted(ALGORITHMS))
-    sweep.add_argument("--scheduler", default="random",
-                       choices=_SCHEDULER_CHOICES)
-    sweep.add_argument("--crashes", default="random",
-                       choices=["none", "random", "after-move", "elected"])
-    sweep.add_argument("--f", type=int, default=0, help="fault budget (crashes)")
-    sweep.add_argument("--movement", default="random-stop",
-                       choices=_MOVEMENT_CHOICES)
-    sweep.add_argument("--max-rounds", type=int, default=20_000)
-    sweep.add_argument("--engine", default="atom",
-                       choices=["atom", "async", "batched"],
-                       help="execution engine; 'batched' steps many seeds "
-                            "per vectorized round (seed-equivalent to "
-                            "'atom')")
-    sweep.add_argument("--batch-size", type=int, default=None, metavar="K",
+    sweep.set_defaults(handler=_cmd_sweep)
+    _add_scenario_flags(sweep, engines=AXES["engine"])
+    sweep.add_argument("--batch-size", type=_positive_int, default=None,
+                       metavar="K",
                        help="most seeds stepped together per "
                             "batched-engine simulation (default 64); "
                             "chunks shrink to an even share when that "
                             "gives every --workers process one (ignored "
                             "by the scalar engines)")
-    _add_visibility_flag(sweep)
-    sweep.add_argument("--seeds", type=int, default=16, metavar="N",
+    sweep.add_argument("--seeds", type=_positive_int, default=16, metavar="N",
                        help="number of seeds to sweep "
                             "(seed-start .. seed-start+N-1; default 16)")
     sweep.add_argument("--seed-start", type=int, default=0, metavar="S",
@@ -331,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
             "worker pool (--workers) survives across requests."
         ),
     )
+    serve.set_defaults(handler=_cmd_serve)
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8642,
@@ -346,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-cache", action="store_true",
                        help="disable the result cache entirely (every "
                             "request recomputes)")
-    serve.add_argument("--memory-entries", type=int, default=4096,
+    serve.add_argument("--memory-entries", type=_positive_int, default=4096,
                        metavar="K",
                        help="in-memory LRU capacity in results "
                             "(default 4096)")
@@ -355,12 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--retries", type=int, default=2,
                        help="attributable failures tolerated per seed "
                             "(default 2)")
-    serve.add_argument("--max-inflight", type=int, default=None, metavar="N",
+    serve.add_argument("--max-inflight", type=_positive_int, default=None,
+                       metavar="N",
                        help="weighted in-flight budget; excess requests "
                             "are shed with a structured 429 + Retry-After "
                             "(a /run costs 1 unit, a /sweep costs "
                             "--sweep-weight; default: unbounded)")
-    serve.add_argument("--sweep-weight", type=int, default=4, metavar="W",
+    serve.add_argument("--sweep-weight", type=_positive_int, default=4,
+                       metavar="W",
                        help="admission weight of one /sweep request "
                             "(default 4)")
     serve.add_argument("--request-deadline", type=float, default=None,
@@ -375,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="graceful-shutdown drain: on SIGTERM wait up "
                             "to SEC for in-flight requests before "
                             "closing (default 10)")
-    serve.add_argument("--breaker-threshold", type=int, default=5,
+    serve.add_argument("--breaker-threshold", type=_positive_int, default=5,
                        metavar="N",
                        help="worker-crash failures within "
                             "--breaker-window that flip /readyz to 503 "
@@ -410,6 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
             "ever replaced atomically."
         ),
     )
+    serve_store.set_defaults(handler=_cmd_serve_store)
     serve_store.add_argument("action", choices=("verify", "gc", "stats"),
                              help="what to do with the store")
     serve_store.add_argument("store", metavar="DIR",
@@ -437,6 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
             "joined by the request id in the span args."
         ),
     )
+    export.set_defaults(handler=_cmd_trace_export)
     export.add_argument("inputs", nargs="+", metavar="INPUT",
                         help="repro-spans-v1 JSONL, repro-obs-v1 JSONL, or "
                              "repro-trace-v2 trace JSON (repeatable; "
@@ -459,6 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
             "totals and the spread trajectory as tables."
         ),
     )
+    stats.set_defaults(handler=_cmd_stats)
     stats.add_argument("input", help="trace JSON or obs JSONL path")
 
     prof = sub.add_parser(
@@ -469,20 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
             "prints per-class round counts and Weber solver statistics."
         ),
     )
-    prof.add_argument("--workload", default="random", choices=sorted(CLASS_GENERATORS))
-    prof.add_argument("--n", type=int, default=8)
-    prof.add_argument("--algorithm", default="wait-free-gather", choices=sorted(ALGORITHMS))
-    prof.add_argument("--scheduler", default="random",
-                      choices=_SCHEDULER_CHOICES)
-    prof.add_argument("--crashes", default="random",
-                      choices=["none", "random", "after-move", "elected"])
-    prof.add_argument("--f", type=int, default=0)
-    prof.add_argument("--movement", default="random-stop",
-                      choices=_MOVEMENT_CHOICES)
+    prof.set_defaults(handler=_cmd_profile)
+    _add_scenario_flags(prof)
     prof.add_argument("--seed", type=int, default=0)
-    prof.add_argument("--max-rounds", type=int, default=20_000)
-    prof.add_argument("--engine", default="atom", choices=["atom", "async"])
-    _add_visibility_flag(prof)
     prof.add_argument("--obs-jsonl", metavar="PATH", default=None,
                       help="also write the round-event stream to PATH")
     prof.add_argument("--spans-jsonl", metavar="PATH", default=None,
@@ -491,38 +491,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scenario_meta(scenario: Scenario, seed: int, engine_seed: int) -> dict:
-    """The trace-v2 meta dict an obs JSONL header carries for joining."""
-    return TraceMeta.for_run(
-        scenario=scenario.to_dict(),
-        seed=seed,
-        engine_seed=engine_seed,
-        tol=DEFAULT_TOLERANCE,
-        engine=scenario.engine,
-    ).to_dict()
+def _print_obs_tables() -> None:
+    """The metrics registry as the tables ``experiment --obs``,
+    ``simulate --obs`` and ``profile`` print."""
+    from . import obs
 
-
-def _obs_summary_tables(snapshot: dict) -> List[Table]:
-    """Metrics snapshot -> the tables ``stats``/``profile``/``--obs`` print."""
-    tables: List[Table] = []
-
+    snapshot = obs.metrics.snapshot()
+    counters = snapshot.get("counters", {})
     classes = Table(
         "obs-classes", "rounds per configuration class", ["class", "rounds"]
     )
-    counters = snapshot.get("counters", {})
+    other = Table("obs-counters", "counters", ["counter", "value"])
     for name in sorted(counters):
         if name.startswith("rounds.class."):
             classes.add_row(name.rsplit(".", 1)[-1], counters[name])
-    if classes.rows:
-        tables.append(classes)
+        else:
+            other.add_row(name, counters[name])
 
-    kernel_rows = snapshot.get("kernels", [])
     kernel_table = Table(
         "obs-kernels",
         "per-kernel call counts and wall time",
         ["kernel", "backend", "calls", "total_ms", "mean_us"],
     )
-    for row in kernel_rows:
+    for row in snapshot.get("kernels", []):
         kernel_table.add_row(
             row["kernel"],
             row["backend"],
@@ -530,8 +521,6 @@ def _obs_summary_tables(snapshot: dict) -> List[Table]:
             row["total_s"] * 1e3,
             row["mean_s"] * 1e6,
         )
-    if kernel_table.rows:
-        tables.append(kernel_table)
 
     stats_table = Table(
         "obs-stats",
@@ -543,59 +532,69 @@ def _obs_summary_tables(snapshot: dict) -> List[Table]:
         stats_table.add_row(
             name, stat["count"], stat["mean"], stat["min"], stat["max"]
         )
-    if stats_table.rows:
-        tables.append(stats_table)
 
-    other = Table("obs-counters", "counters", ["counter", "value"])
-    for name in sorted(counters):
-        if not name.startswith("rounds.class."):
-            other.add_row(name, counters[name])
-    if other.rows:
-        tables.append(other)
-    return tables
+    for table in (classes, kernel_table, stats_table, other):
+        if table.rows:
+            print(table.render())
+            print()
+
+
+def _observed_run(
+    args: argparse.Namespace,
+    scenario: Scenario,
+    engine_seed: int,
+    record_trace: bool = False,
+):
+    """Run ``scenario`` once with the observability layer on, writing
+    the event and span streams ``--obs-jsonl`` / ``--spans-jsonl`` name
+    (their headers carry the run's trace-v2 meta block for joining)."""
+    from . import obs
+
+    meta = None
+    if args.obs_jsonl or args.spans_jsonl:
+        meta = TraceMeta.for_run(
+            scenario=scenario.to_dict(),
+            seed=args.seed,
+            engine_seed=engine_seed,
+            tol=DEFAULT_TOLERANCE,
+            engine=scenario.engine,
+        ).to_dict()
+    obs.metrics.reset()
+    with obs.observability(
+        jsonl=args.obs_jsonl, spans_jsonl=args.spans_jsonl, meta=meta
+    ):
+        return run_scenario(
+            scenario,
+            args.seed,
+            engine_seed=engine_seed,
+            record_trace=record_trace,
+        )
+
+
+def _print_obs_report(args: argparse.Namespace) -> None:
+    """What ``simulate --obs`` and ``profile`` print after the run."""
+    print()
+    _print_obs_tables()
+    if args.obs_jsonl:
+        print(f"event stream saved to {args.obs_jsonl}")
+    if args.spans_jsonl:
+        print(f"span trace saved to {args.spans_jsonl}")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from . import obs
-
     # Route through the scenario machinery so a saved trace carries the
     # full meta block and `repro check --replay` accepts it.  The raw
     # user seed is passed as the engine seed (historical behaviour);
     # the meta block records both, so replay is still exact.
-    scenario = Scenario(
-        workload=args.workload,
-        n=args.n,
-        algorithm=args.algorithm,
-        scheduler=args.scheduler,
-        crashes=args.crashes,
-        f=args.f,
-        movement=args.movement,
-        max_rounds=args.max_rounds,
-        engine=args.engine,
-        visibility=args.visibility,
-    )
+    scenario = _scenario(args)
     want_obs = args.obs or bool(args.obs_jsonl) or bool(args.spans_jsonl)
+    record_trace = args.trace or bool(args.save_trace)
     if want_obs:
-        obs.metrics.reset()
-        with obs.observability(
-            jsonl=args.obs_jsonl,
-            spans_jsonl=args.spans_jsonl,
-            meta=_scenario_meta(scenario, args.seed, args.seed)
-            if args.obs_jsonl or args.spans_jsonl
-            else None,
-        ):
-            result = run_scenario(
-                scenario,
-                args.seed,
-                engine_seed=args.seed,
-                record_trace=args.trace or bool(args.save_trace),
-            )
+        result = _observed_run(args, scenario, args.seed, record_trace)
     else:
         result = run_scenario(
-            scenario,
-            args.seed,
-            engine_seed=args.seed,
-            record_trace=args.trace or bool(args.save_trace),
+            scenario, args.seed, engine_seed=args.seed,
+            record_trace=record_trace,
         )
     print(f"workload   : {args.workload} (n={args.n}, seed={args.seed})")
     print(f"engine     : {args.engine}")
@@ -617,14 +616,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         save_trace(result.trace, args.save_trace)
         print(f"trace saved to {args.save_trace}")
     if want_obs:
-        print()
-        for table in _obs_summary_tables(obs.metrics.snapshot()):
-            print(table.render())
-            print()
-        if args.obs_jsonl:
-            print(f"event stream saved to {args.obs_jsonl}")
-        if args.spans_jsonl:
-            print(f"span trace saved to {args.spans_jsonl}")
+        _print_obs_report(args)
     return 0 if result.gathered or result.verdict == "impossible" else 1
 
 
@@ -673,11 +665,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             print(table.to_csv() if args.csv else table.render())
             print()
     if args.obs:
-        from . import obs
-
-        for table in _obs_summary_tables(obs.metrics.snapshot()):
-            print(table.render())
-            print()
+        _print_obs_tables()
     return 0
 
 
@@ -782,13 +770,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .experiments.runner import resolve_batch_size, run_batch
+    from .experiments.runner import run_batch
 
-    try:
-        resolve_batch_size(args.batch_size)
-    except ValueError as exc:
-        print(f"error: --batch-size: {exc}", file=sys.stderr)
-        return 2
+    scenario = _scenario(args)
     if args.resume and not args.journal:
         print("error: --resume requires --journal", file=sys.stderr)
         return 2
@@ -800,18 +784,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         return 2
 
-    scenario = Scenario(
-        workload=args.workload,
-        n=args.n,
-        algorithm=args.algorithm,
-        scheduler=args.scheduler,
-        crashes=args.crashes,
-        f=args.f,
-        movement=args.movement,
-        max_rounds=args.max_rounds,
-        engine=args.engine,
-        visibility=args.visibility,
-    )
     seeds = list(range(args.seed_start, args.seed_start + args.seeds))
     resumed = 0
     if args.resume and os.path.exists(args.journal):
@@ -978,15 +950,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_store(args: argparse.Namespace) -> int:
-    import json as _json
-
     from .serve import ResultStore
 
     store = ResultStore(args.store)
     if args.action == "verify":
         report = store.verify_disk(repair=not args.no_repair)
         if args.json:
-            print(_json.dumps(report, sort_keys=True))
+            print(json.dumps(report, sort_keys=True))
         else:
             print(
                 f"{report['root']}: {report['checked']} checked, "
@@ -1007,7 +977,7 @@ def _cmd_serve_store(args: argparse.Namespace) -> int:
     if args.action == "gc":
         report = store.gc_disk()
         if args.json:
-            print(_json.dumps(report, sort_keys=True))
+            print(json.dumps(report, sort_keys=True))
         else:
             print(
                 f"{report['root']}: removed {report['removed']} file(s), "
@@ -1016,7 +986,7 @@ def _cmd_serve_store(args: argparse.Namespace) -> int:
         return 0
     report = store.disk_stats()
     if args.json:
-        print(_json.dumps(report, sort_keys=True))
+        print(json.dumps(report, sort_keys=True))
     else:
         print(
             f"{report['root']}: {report['entries']} entr(ies), "
@@ -1324,43 +1294,14 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from . import obs
-
-    scenario = Scenario(
-        workload=args.workload,
-        n=args.n,
-        algorithm=args.algorithm,
-        scheduler=args.scheduler,
-        crashes=args.crashes,
-        f=args.f,
-        movement=args.movement,
-        max_rounds=args.max_rounds,
-        engine=args.engine,
-        visibility=args.visibility,
-    )
-    obs.metrics.reset()
-    engine_seed = scenario.engine_seed(args.seed)
-    with obs.observability(
-        jsonl=args.obs_jsonl,
-        spans_jsonl=args.spans_jsonl,
-        meta=_scenario_meta(scenario, args.seed, engine_seed)
-        if args.obs_jsonl or args.spans_jsonl
-        else None,
-    ):
-        start = time.perf_counter()
-        result = run_scenario(scenario, args.seed)
-        elapsed = time.perf_counter() - start
+    scenario = _scenario(args)
+    start = time.perf_counter()
+    result = _observed_run(args, scenario, scenario.engine_seed(args.seed))
+    elapsed = time.perf_counter() - start
     print(f"profile    : {scenario.label()} seed={args.seed}")
     print(f"verdict    : {result.verdict} in {result.rounds} rounds "
           f"({elapsed:.3f}s wall)")
-    print()
-    for table in _obs_summary_tables(obs.metrics.snapshot()):
-        print(table.render())
-        print()
-    if args.obs_jsonl:
-        print(f"event stream saved to {args.obs_jsonl}")
-    if args.spans_jsonl:
-        print(f"span trace saved to {args.spans_jsonl}")
+    _print_obs_report(args)
     return 0
 
 
@@ -1368,23 +1309,17 @@ def _cmd_render(args: argparse.Namespace) -> int:
     from .core import Configuration
     from .viz import render_configuration, render_trace
 
-    points = generate(args.workload, args.n, args.seed)
+    scenario = _scenario(args, movement="rigid")
     if args.snapshot:
         svg = render_configuration(
-            Configuration(points), caption=f"{args.workload} n={args.n}"
+            Configuration(generate(args.workload, args.n, args.seed)),
+            caption=f"{args.workload} n={args.n}",
         )
         verdict = "snapshot"
     else:
-        sim = Simulation(
-            ALGORITHMS[args.algorithm](),
-            points,
-            scheduler=make_scheduler(args.scheduler),
-            crash_adversary=make_crashes(args.crashes, args.f),
-            seed=args.seed,
-            record_trace=True,
-            max_rounds=20_000,
+        result = run_scenario(
+            scenario, args.seed, engine_seed=args.seed, record_trace=True
         )
-        result = sim.run()
         svg = render_trace(result.trace, result)
         verdict = f"{result.verdict} in {result.rounds} rounds"
     with open(args.output, "w", encoding="utf-8") as handle:
@@ -1396,32 +1331,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        if args.command == "hunt":
-            return _cmd_hunt(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        if args.command == "serve-store":
-            return _cmd_serve_store(args)
-        if args.command == "stats":
-            return _cmd_stats(args)
-        if args.command == "trace-export":
-            return _cmd_trace_export(args)
-        if args.command == "profile":
-            return _cmd_profile(args)
-        if args.command == "render":
-            return _cmd_render(args)
+        return args.handler(args)
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; that is not our error.
         return 0
@@ -1436,7 +1346,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # never a traceback for an operational failure.
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

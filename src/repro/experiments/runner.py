@@ -19,7 +19,6 @@ from __future__ import annotations
 import os
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
@@ -32,6 +31,7 @@ from ..resilience import (
     ResilientExecutor,
     RunPolicy,
     SweepJournal,
+    TraceFormatError,
     atomic_write,
 )
 from ..algorithms import ALGORITHMS, GatheringAlgorithm
@@ -57,11 +57,13 @@ from ..sim import (
     Simulation,
     SimulationResult,
 )
+from ..sim.engine import FRAMES
 from ..sim.trace import TraceMeta
-from ..workloads import generate
+from ..workloads import CLASS_GENERATORS, generate
 
 __all__ = [
     "Scenario",
+    "AXES",
     "build_simulation",
     "run_scenario",
     "run_batch",
@@ -114,6 +116,29 @@ _MOVEMENTS: Dict[str, Callable[[], object]] = {
     "per-robot-speed": lambda: PerRobotSpeed((1.0, 0.25, 0.05)),
 }
 
+#: Crash adversary factories by name, each taking the fault budget f.
+_CRASHES: Dict[str, Callable[[int], object]] = {
+    "none": lambda f: NoCrashes(),
+    "random": lambda f: RandomCrashes(f=f, rate=0.25),
+    "after-move": lambda f: CrashAfterMove(f=f),
+    "elected": lambda f: CrashElected(f=f),
+}
+
+#: Execution models (see :attr:`Scenario.engine`).
+_ENGINES = ("atom", "async", "batched")
+
+#: The names each named axis of a :class:`Scenario` accepts — the one
+#: list the scenario check and the CLI's scenario flags both read.
+AXES = {
+    "workload": CLASS_GENERATORS,
+    "algorithm": ALGORITHMS,
+    "scheduler": _SCHEDULERS,
+    "crashes": _CRASHES,
+    "movement": _MOVEMENTS,
+    "engine": _ENGINES,
+    "frames": FRAMES,
+}
+
 
 def make_scheduler(name: str):
     """Fresh scheduler instance by registry name."""
@@ -126,16 +151,11 @@ def make_movement(name: str):
 
 
 def make_crashes(kind: str, f: int):
-    """Fresh crash adversary: ``none | random | after-move | elected``."""
-    if f == 0 or kind == "none":
-        return NoCrashes()
-    if kind == "random":
-        return RandomCrashes(f=f, rate=0.25)
-    if kind == "after-move":
-        return CrashAfterMove(f=f)
-    if kind == "elected":
-        return CrashElected(f=f)
-    raise ValueError(f"unknown crash adversary kind {kind!r}")
+    """Fresh crash adversary by registry name; a zero budget means no
+    crashes whatever the kind."""
+    if kind not in _CRASHES:
+        raise ValueError(f"unknown crash adversary kind {kind!r}")
+    return _CRASHES[kind](f) if f else NoCrashes()
 
 
 @dataclass(frozen=True)
@@ -164,6 +184,52 @@ class Scenario:
     #: default, so traces archived before it existed keep loading.
     visibility: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        """Refuse a scenario no engine can run, as a
+        :class:`~repro.resilience.TraceFormatError` (exit 2 on the CLI,
+        HTTP 400 from ``repro serve``).
+
+        An integral float such as ``8.0`` is stored as ``8``, the rule
+        :func:`~repro.sim.trace.canonical_scenario_json` applies to
+        cache keys, so two spellings of one scenario run and echo alike.
+        """
+        for axis, names in AXES.items():
+            name = getattr(self, axis)
+            if not isinstance(name, str) or name not in names:
+                raise TraceFormatError(
+                    f"unknown {axis} {name!r}; known: "
+                    f"{', '.join(sorted(names))}"
+                )
+        for field in ("n", "f", "max_rounds", "visibility"):
+            value = getattr(self, field)
+            if isinstance(value, float) and value.is_integer():
+                object.__setattr__(self, field, int(value))
+        for field, low in (("n", 1), ("f", 0), ("max_rounds", 0)):
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, int) or (
+                value < low
+            ):
+                raise TraceFormatError(
+                    f"scenario field {field!r} must be an integer >= "
+                    f"{low}, got {value!r}"
+                )
+        radius = self.visibility
+        if radius is None:
+            return
+        if isinstance(radius, bool) or not isinstance(
+            radius, (int, float)
+        ) or not radius > 0:
+            raise TraceFormatError(
+                "scenario field 'visibility' must be a positive radius, "
+                f"got {radius!r}"
+            )
+        if self.engine == "batched":
+            raise TraceFormatError(
+                "the batched engine computes one global snapshot per sim "
+                "and cannot truncate per-robot views; run visibility "
+                "scenarios on engine 'atom' or 'async'"
+            )
+
     def label(self) -> str:
         prefix = "" if self.engine == "atom" else f"{self.engine}/"
         suffix = (
@@ -185,7 +251,9 @@ class Scenario:
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
-            raise ValueError(f"unknown Scenario fields: {sorted(unknown)}")
+            raise TraceFormatError(
+                f"unknown Scenario fields: {sorted(unknown)}"
+            )
         return cls(**data)
 
     def engine_seed(self, seed: int) -> int:
@@ -221,8 +289,6 @@ def build_simulation(
             "the batched engine steps many seeds per instance; build it "
             "through run_batched()/run_batch(), not build_simulation()"
         )
-    if scenario.engine not in ("atom", "async"):
-        raise ValueError(f"unknown engine {scenario.engine!r}")
     phased = scenario.engine == "async"
     return Simulation(
         algorithm,
@@ -326,15 +392,9 @@ def _run_batched_chunk(
     ``scenario.frames`` is deliberately ignored: the algorithm is frame
     equivariant (checked by the invariance suite), so the batched engine
     computes every snapshot in the global frame once per sim instead of
-    once per robot.
+    once per robot, and a batched scenario has no visibility radius.
     """
     seeds = list(seeds)
-    if scenario.visibility is not None:
-        raise ValueError(
-            "the batched engine computes one global snapshot per sim and "
-            "cannot truncate per-robot views; run visibility scenarios on "
-            "engine='atom' or 'async'"
-        )
     if engine_seeds is None:
         engine_seeds = [scenario.engine_seed(seed) for seed in seeds]
     sim = BatchedSimulation(
@@ -432,15 +492,11 @@ def parallel_map(
     ``on_result(index, value)`` fires as items complete (completion
     order) — the checkpoint journal of :func:`run_batch` hangs off it.
     ``on_failure(key, exc, strike)`` fires per failed attempt — the
-    sweep dashboard's retry/timeout counters hang off it.  A plain
-    legacy :class:`concurrent.futures.ProcessPoolExecutor` is still
-    accepted as ``pool`` and used via ``pool.map`` (no resilience).
+    sweep dashboard's retry/timeout counters hang off it.
     """
     items = list(items)
     if chaos is None:
         chaos = ChaosPolicy.from_env()
-    if isinstance(pool, ProcessPoolExecutor):
-        return list(pool.map(fn, items))
     if isinstance(pool, ResilientExecutor):
         return pool.map_resilient(
             fn, items, keys=keys, chaos=chaos, on_result=on_result,

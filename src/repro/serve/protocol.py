@@ -105,9 +105,10 @@ def _parse_scenario(data: dict, *, where: str) -> Scenario:
         )
     try:
         # from_dict rejects unknown keys loudly and the constructor
-        # rejects missing required ones — the same schema discipline the
-        # trace archive enforces, so a serve client and a trace file can
-        # never disagree about what a scenario is.
+        # rejects missing required ones and every value no engine can
+        # run — the same check the CLI and the trace archive go through,
+        # so a bad scenario is a 400 here and never reaches the pool or
+        # the circuit breaker.
         return Scenario.from_dict(raw)
     except (TypeError, ValueError) as exc:
         raise TraceFormatError(

@@ -109,6 +109,17 @@ slog = get_logger(logger.name)
 SWEEP_BLOCK = 16
 
 
+def _key(scenario: Scenario, seed: int) -> str:
+    """The store key of one run on this daemon's backend and code."""
+    return result_key(
+        scenario.to_dict(),
+        seed,
+        backend=BACKEND,
+        engine=scenario.engine,
+        code_version=__version__,
+    )
+
+
 class _Server(ThreadingHTTPServer):
     daemon_threads = True
     #: socketserver's default listen backlog is 5 — under a connection
@@ -374,16 +385,10 @@ class ReproServer:
         the leader's body *the* body, so followers lose nothing but the
         redundant work.
         """
-        key = result_key(
-            scenario.to_dict(),
-            seed,
-            backend=BACKEND,
-            engine=scenario.engine,
-            code_version=__version__,
-        )
+        key = _key(scenario, seed)
         if not use_cache:
-            body = self._compute_one(
-                scenario, seed, key, deadline, prefix, trace=trace
+            [body] = self._bodies(
+                scenario, [seed], [key], prefix, deadline, trace
             )
             return body, "bypass"
         lookup = None if trace is None else trace.begin("cache_lookup")
@@ -408,8 +413,8 @@ class ReproServer:
             body = self.store.get(key, count=False)
             state = "hit"
             if body is None:
-                body = self._compute_one(
-                    scenario, seed, key, deadline, prefix, trace=trace
+                [body] = self._bodies(
+                    scenario, [seed], [key], prefix, deadline, trace
                 )
                 self.store.put(key, body)
                 state = "miss"
@@ -445,16 +450,7 @@ class ReproServer:
         """
         if deadline is not None:
             deadline.check("before resolving a seed block")
-        keys = [
-            result_key(
-                scenario.to_dict(),
-                seed,
-                backend=BACKEND,
-                engine=scenario.engine,
-                code_version=__version__,
-            )
-            for seed in seeds
-        ]
+        keys = [_key(scenario, seed) for seed in seeds]
         resolved: dict = {}
         todo: List[int] = []
         todo_keys: List[str] = []
@@ -471,44 +467,41 @@ class ReproServer:
         if lookup is not None:
             trace.end(lookup, hits=len(seeds) - len(todo))
         if todo:
-            results = self._execute(
-                scenario, todo, prefix=prefix, deadline=deadline, trace=trace
+            bodies = self._bodies(
+                scenario, todo, todo_keys, prefix, deadline, trace
             )
             state = "miss" if use_cache else "bypass"
-            for seed, key, result in zip(todo, todo_keys, results):
-                body = protocol.run_body(
-                    key,
-                    scenario,
-                    seed,
-                    result,
-                    backend=BACKEND,
-                    code_version=__version__,
-                )
+            for seed, key, body in zip(todo, todo_keys, bodies):
                 if use_cache:
                     self.store.put(key, body)
                 resolved[seed] = (body, state)
         return [resolved[seed] for seed in seeds]
 
-    def _compute_one(
+    def _bodies(
         self,
         scenario: Scenario,
-        seed: int,
-        key: str,
-        deadline: Deadline,
+        seeds: Sequence[int],
+        keys: Sequence[str],
         prefix: str,
-        trace: Optional[RequestTrace] = None,
-    ) -> str:
-        [result] = self._execute(
-            scenario, [seed], prefix=prefix, deadline=deadline, trace=trace
+        deadline: Optional[Deadline],
+        trace: Optional[RequestTrace],
+    ) -> List[str]:
+        """The run bodies of seeds the store missed (or was told to
+        skip), computed in one dispatch."""
+        results = self._execute(
+            scenario, seeds, prefix=prefix, deadline=deadline, trace=trace
         )
-        return protocol.run_body(
-            key,
-            scenario,
-            seed,
-            result,
-            backend=BACKEND,
-            code_version=__version__,
-        )
+        return [
+            protocol.run_body(
+                key,
+                scenario,
+                seed,
+                result,
+                backend=BACKEND,
+                code_version=__version__,
+            )
+            for seed, key, result in zip(seeds, keys, results)
+        ]
 
     def _deadline_policy(self, deadline: Optional[Deadline]) -> RunPolicy:
         """The run policy for one dispatch, deadline threaded in.

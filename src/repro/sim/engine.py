@@ -78,7 +78,11 @@ __all__ = [
     "SimulationResult",
     "Verdict",
     "component_rng",
+    "FRAMES",
 ]
+
+#: Frame models a simulation accepts (see :class:`Simulation`).
+FRAMES = ("identity", "random")
 
 
 #: Per-robot local-configuration cache bound.  On idle rounds (no robot
@@ -210,8 +214,8 @@ class Simulation:
     ) -> None:
         if not positions:
             raise ValueError("a simulation needs at least one robot")
-        if frames not in ("identity", "random"):
-            raise ValueError("frames must be 'identity' or 'random'")
+        if frames not in FRAMES:
+            raise ValueError(f"frames must be one of {FRAMES}")
         self.algorithm = algorithm
         self.seed = seed
         self.rng = random.Random(seed)

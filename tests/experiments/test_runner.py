@@ -13,7 +13,7 @@ from repro.experiments.runner import (
     run_batch,
     run_scenario,
 )
-from repro.resilience import ChaosPolicy, ResilientExecutor
+from repro.resilience import ChaosPolicy, ResilientExecutor, TraceFormatError
 
 
 class TestFactories:
@@ -48,6 +48,40 @@ class TestFactories:
 
 
 class TestScenario:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("workload", "spiral"),
+            ("algorithm", "nope"),
+            ("scheduler", "eager"),
+            ("crashes", "weird"),
+            ("movement", "teleport"),
+            ("engine", "warp"),
+            ("frames", "mirror"),
+            ("n", 0),
+            ("n", 2.5),
+            ("n", "8"),
+            ("n", True),
+            ("f", -1),
+            ("max_rounds", -1),
+            ("visibility", 0),
+            ("visibility", -3.0),
+            ("visibility", "far"),
+        ],
+    )
+    def test_unrunnable_scenario_refused(self, field, value):
+        with pytest.raises(TraceFormatError, match=field):
+            Scenario(**{"workload": "random", "n": 8, field: value})
+
+    def test_batched_engine_with_visibility_refused(self):
+        with pytest.raises(TraceFormatError, match="visibility"):
+            Scenario(workload="random", n=8, engine="batched", visibility=3)
+
+    def test_integral_floats_are_integers(self):
+        scenario = Scenario(workload="random", n=8.0, f=2.0, visibility=4.0)
+        assert scenario == Scenario(workload="random", n=8, f=2, visibility=4)
+        assert type(scenario.n) is int and type(scenario.f) is int
+
     def test_label_mentions_key_parameters(self):
         s = Scenario(workload="random", n=8, f=3)
         label = s.label()

@@ -119,13 +119,11 @@ class TestNewAxes:
         assert_identical(run_scenario(scenario, 0), run_scenario(scenario, 0))
 
     def test_batched_engine_rejects_visibility(self):
-        from repro.experiments.runner import run_batched
-
-        scenario = Scenario(
-            workload="asymmetric", n=6, engine="batched", visibility=5.0
-        )
+        # Refused when the scenario is built, before any chunk runs.
         with pytest.raises(ValueError, match="visibility"):
-            run_batched(scenario, [0])
+            Scenario(
+                workload="asymmetric", n=6, engine="batched", visibility=5.0
+            )
 
     def test_scenario_roundtrip_with_visibility(self):
         scenario = Scenario(workload="asymmetric", n=6, visibility=8.0)

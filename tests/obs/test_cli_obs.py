@@ -51,11 +51,17 @@ class TestSimulateSpans:
 
 
 class TestSweepMetrics:
-    def test_obs_sweep_writes_metrics_next_to_journal(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "workers", [[], ["--workers", "2"]], ids=["serial", "workers-2"]
+    )
+    def test_obs_sweep_writes_metrics_next_to_journal(
+        self, tmp_path, capsys, workers
+    ):
+        # Pooled, the per-seed payloads come home from the workers.
         journal = str(tmp_path / "sweep.journal.jsonl")
         code = main([
             "sweep", "--workload", "asymmetric", "--n", "6",
-            "--seeds", "3", "--obs", "--journal", journal,
+            "--seeds", "3", "--obs", "--journal", journal, *workers,
         ])
         assert code == 0
         metrics_path = str(tmp_path / "sweep-metrics.json")

@@ -65,15 +65,18 @@ class TestSweepCommand:
         assert "--resume requires --journal" in capsys.readouterr().err
 
     def test_bad_batch_size_refused(self, tmp_path, capsys):
+        # argparse refuses it: a usage error, exit 2, before any work.
         journal = tmp_path / "sweep.jsonl"
-        code = sweep(
-            "--seeds", "2", "--engine", "batched", "--batch-size", "-2",
-            "--journal", str(journal),
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.count("error:") == 1 and "positive" in err
-        assert not journal.exists()
+        for size in ("-2", "0"):
+            with pytest.raises(SystemExit) as excinfo:
+                sweep(
+                    "--seeds", "2", "--engine", "batched",
+                    "--batch-size", size, "--journal", str(journal),
+                )
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1 and "positive" in err
+            assert not journal.exists()
 
     def test_resume_extends_a_partial_sweep(self, tmp_path, capsys):
         journal = str(tmp_path / "sweep.jsonl")

@@ -16,6 +16,8 @@ import time
 from contextlib import closing
 from http.client import HTTPConnection, parse_headers
 
+import pytest
+
 from repro.resilience import RunPolicy
 
 from .client import serving
@@ -137,16 +139,66 @@ class TestErrorMapping:
             assert json.loads(raw)["kind"] == "error"
 
     def test_failing_run_surfaces_as_structured_500(self):
-        # Scenario.from_dict accepts any algorithm string; the registry
-        # lookup fails at run time, is charged against the retry budget,
-        # and surfaces as WorkerCrashError -> structured 500 JSON, never
-        # a dead socket or a traceback.
+        # The scenario is well formed, but the bivalent generator refuses
+        # an odd team size when the run builds its workload: the failure
+        # is charged against the retry budget and surfaces as
+        # WorkerCrashError -> structured 500 JSON, never a dead socket
+        # or a traceback.
         with serving(policy=RunPolicy(retries=0, backoff=0.0)) as client:
-            status, _, raw = client.run(dict(SCENARIO, algorithm="nope"))
+            status, _, raw = client.run(
+                dict(SCENARIO, workload="bivalent", n=5)
+            )
             body = json.loads(raw)
             assert status == 500
             assert body["kind"] == "error"
             assert body["error"] == "WorkerCrashError"
+
+
+#: Scenarios no engine can run, each refused when the request is parsed.
+MALFORMED = {
+    "n-zero": dict(SCENARIO, n=0),
+    "unknown-workload": dict(SCENARIO, workload="spiral"),
+    "unknown-scheduler": dict(SCENARIO, scheduler="eager"),
+    "unknown-algorithm": dict(SCENARIO, algorithm="nope"),
+    "negative-f": dict(SCENARIO, f=-1),
+    "batched-visibility": dict(SCENARIO, engine="batched", visibility=5.0),
+}
+
+
+class TestScenarioCheck:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_scenario_is_400(self, name):
+        with serving() as client:
+            status, _, raw = client.run(MALFORMED[name])
+            body = json.loads(raw)
+            assert status == 400
+            assert body["error"] == "TraceFormatError"
+            assert "bad scenario" in body["message"]
+
+    def test_malformed_scenarios_never_reach_the_breaker(self):
+        # Five crashes would open the breaker (the default threshold);
+        # five refused scenarios are the client's fault and leave
+        # readiness alone.
+        with serving(breaker_threshold=5) as client:
+            for name in sorted(MALFORMED)[:5]:
+                assert client.run(MALFORMED[name])[0] == 400
+            assert client.request("GET", "/readyz")[0] == 200
+            breaker = client.metrics()["robustness"]["breaker"]
+            assert breaker["recent_failures"] == 0
+            assert client.server.aggregator.done == 0
+
+    def test_integral_float_is_the_integer(self):
+        # A cold 8.0 runs as 8: same key, same bytes as the integer
+        # spelling computed afresh.
+        with serving() as client:
+            status, headers, cold = client.run(dict(SCENARIO, n=8.0))
+            assert status == 200
+            assert headers["X-Repro-Cache"] == "miss"
+            status, headers, warm = client.run(dict(SCENARIO, n=8))
+            assert (status, headers["X-Repro-Cache"]) == (200, "hit")
+            assert warm == cold
+            _, _, fresh = client.run(dict(SCENARIO, n=8), cache=False)
+            assert fresh == cold
 
 
 class TestOperationalEndpoints:

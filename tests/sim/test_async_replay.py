@@ -45,9 +45,9 @@ class TestEngineDispatch:
         assert sim.scheduler.bound == 64
 
     def test_unknown_engine_rejected(self):
-        bad = Scenario(workload="random", n=4, engine="warp")
+        # Refused when the scenario is built, before any engine exists.
         with pytest.raises(ValueError, match="warp"):
-            build_simulation(bad, 0)
+            Scenario(workload="random", n=4, engine="warp")
 
     def test_engine_field_round_trips_through_scenario_dict(self):
         assert Scenario.from_dict(ASYNC_SMALL.to_dict()) == ASYNC_SMALL

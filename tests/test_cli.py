@@ -65,6 +65,60 @@ class TestSimulate:
         assert "[M]" in out
 
 
+class TestScenarioCheck:
+    """A scenario no engine can run is one ``error:`` line and exit 2,
+    refused when the CLI builds its :class:`Scenario`."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--n", "0"],
+            ["simulate", "--f", "-1"],
+            ["simulate", "--visibility", "0"],
+            ["profile", "--n", "0"],
+            ["render", "{tmp}/x.svg", "--n", "0"],
+            ["sweep", "--engine", "batched", "--visibility", "5"],
+        ],
+        ids=lambda argv: "-".join(a.strip("-") for a in argv if "{" not in a),
+    )
+    def test_bad_scenario_is_one_line(self, argv, capsys, tmp_path,
+                                      monkeypatch):
+        from repro.experiments import runner
+
+        def no_dispatch(*args, **kwargs):
+            raise AssertionError("a refused scenario reached the pool")
+
+        monkeypatch.setattr(runner, "parallel_map", no_dispatch)
+        monkeypatch.setattr(runner, "_run_batched_chunk", no_dispatch)
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--max-inflight", "0"],
+            ["serve", "--memory-entries", "0"],
+            ["serve", "--breaker-threshold", "0"],
+            ["serve", "--sweep-weight", "0"],
+            ["sweep", "--seeds", "0"],
+            ["sweep", "--batch-size", "0"],
+        ],
+        ids=lambda argv: "-".join(a.strip("-") for a in argv),
+    )
+    def test_count_below_one_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[1]}: must be a positive integer" in err
+
+
 class TestClassify:
     def test_polygon_reports_qr(self, capsys):
         code = main(
@@ -192,6 +246,19 @@ class TestCheck:
         assert code == 1
         assert "FAILED" in out
         assert "reproduce:" in out
+
+    def test_unrunnable_archived_scenario_is_one_line(self, capsys, tmp_path):
+        import json
+
+        target = self._save(tmp_path)
+        with open(target) as handle:
+            data = json.load(handle)
+        data["meta"]["scenario"]["n"] = 0
+        with open(target, "w") as handle:
+            json.dump(data, handle)
+        assert main(["check", "--replay", target]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_invariants_mode(self, capsys, tmp_path):
         target = self._save(tmp_path)
