@@ -210,9 +210,9 @@ def _serve_shed_latency(threads: int = 8, per_thread: int = 4) -> List[Dict]:
     control.
 
     ``threads * per_thread`` uncacheable requests (``"cache": false`` —
-    every one computes) arrive at once and serialize behind the daemon's
-    single simulation slot.  With ``--max-inflight`` the daemon sheds
-    the excess as instant 429s, so the latency distribution stays flat;
+    every one computes) arrive at once and queue for the one simulation
+    slot of a daemon without a pool.  With ``--max-inflight`` the daemon
+    sheds the excess as instant 429s, so the latency distribution stays flat;
     unbounded, every request queues behind the slot and the tail grows
     linearly with the offered load.  Recorded (p50/p99/shed per mode)
     for the load-shed table in EXPERIMENTS.md.

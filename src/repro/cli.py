@@ -1310,18 +1310,21 @@ def _cmd_render(args: argparse.Namespace) -> int:
     from .viz import render_configuration, render_trace
 
     scenario = _scenario(args, movement="rigid")
-    if args.snapshot:
+    verdict = "snapshot"
+    if not args.snapshot:
+        result = run_scenario(
+            scenario, args.seed, engine_seed=args.seed, record_trace=True
+        )
+        verdict = f"{result.verdict} in {result.rounds} rounds"
+    if args.snapshot or not len(result.trace):
+        # A run that halts before its first round (a bivalent start)
+        # has no trace to draw; its start configuration is the picture.
         svg = render_configuration(
             Configuration(generate(args.workload, args.n, args.seed)),
             caption=f"{args.workload} n={args.n}",
         )
-        verdict = "snapshot"
     else:
-        result = run_scenario(
-            scenario, args.seed, engine_seed=args.seed, record_trace=True
-        )
         svg = render_trace(result.trace, result)
-        verdict = f"{result.verdict} in {result.rounds} rounds"
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(svg)
     print(f"wrote {args.output} ({verdict})")

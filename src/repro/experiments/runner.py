@@ -20,7 +20,7 @@ import os
 import re
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
@@ -59,7 +59,7 @@ from ..sim import (
 )
 from ..sim.engine import FRAMES
 from ..sim.trace import TraceMeta
-from ..workloads import CLASS_GENERATORS, generate
+from ..workloads import CLASS_GENERATORS, check_size, generate
 
 __all__ = [
     "Scenario",
@@ -187,7 +187,9 @@ class Scenario:
     def __post_init__(self) -> None:
         """Refuse a scenario no engine can run, as a
         :class:`~repro.resilience.TraceFormatError` (exit 2 on the CLI,
-        HTTP 400 from ``repro serve``).
+        HTTP 400 from ``repro serve``); that includes a team size its
+        workload's generator cannot build
+        (:data:`~repro.workloads.SIZE_RULES`).
 
         An integral float such as ``8.0`` is stored as ``8``, the rule
         :func:`~repro.sim.trace.canonical_scenario_json` applies to
@@ -213,6 +215,7 @@ class Scenario:
                     f"scenario field {field!r} must be an integer >= "
                     f"{low}, got {value!r}"
                 )
+        check_size(self.workload, self.n)
         radius = self.visibility
         if radius is None:
             return
@@ -241,15 +244,19 @@ class Scenario:
         )
 
     def to_dict(self) -> dict:
-        """Canonical JSON-ready form — the trace schema's scenario block."""
-        return asdict(self)
+        """Canonical JSON-ready form — the trace schema's scenario block.
+
+        Every field is an immutable scalar, so a shallow dict is the
+        one ``dataclasses.asdict`` builds, without its deep copy (the
+        serve daemon builds one per request, for the cache key).
+        """
+        return {name: getattr(self, name) for name in _SCENARIO_FIELDS}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
         """Inverse of :meth:`to_dict`; rejects unknown keys loudly so a
         trace written by a newer schema never half-loads."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data).difference(_SCENARIO_FIELDS)
         if unknown:
             raise TraceFormatError(
                 f"unknown Scenario fields: {sorted(unknown)}"
@@ -260,6 +267,9 @@ class Scenario:
         """The engine seed derived from a sweep seed (Knuth multiplicative
         hash, decorrelating neighbouring sweep seeds)."""
         return seed * 2654435761 % (2**31)
+
+
+_SCENARIO_FIELDS = tuple(f.name for f in fields(Scenario))
 
 
 def build_simulation(

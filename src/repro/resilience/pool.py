@@ -21,6 +21,15 @@ own arguments, so however many times an attempt is killed, timed out or
 re-dispatched, the value that finally lands is bit-identical to the one
 a clean sequential run produces.
 
+One executor may serve several concurrent :meth:`~ResilientExecutor
+.map_resilient` callers (the ``repro serve`` daemon maps each cache miss
+from its own request thread).  The pool they share is numbered by
+generation: a breakage or a hung attempt seen by any caller tears that
+generation down once and counts one rebuild, and every other caller
+whose attempts were in flight on it re-dispatches them to the next
+generation without a strike.  The serial fallback runs one item at a
+time whichever caller it serves.
+
 Failure accounting distinguishes *attempts* from *strikes*.  Every try
 increments the attempt number (which re-rolls the chaos dice and grows
 the backoff), but only failures attributable to the item itself — an
@@ -35,12 +44,13 @@ from __future__ import annotations
 
 import logging
 import math
+import threading
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .chaos import ChaosPolicy
 from .errors import SeedTimeoutError, WorkerCrashError
@@ -142,12 +152,15 @@ def _worker_call(fn: Callable, chaos: Optional[ChaosPolicy], key: str,
 
 
 class _PoolRestart(Exception):
-    """Internal: the current pool must be torn down and rebuilt."""
+    """Internal: the pool of ``generation`` is dead or must be torn
+    down; its in-flight items go to the next one."""
 
-    def __init__(self, reason: str, in_flight: Set[int]) -> None:
+    def __init__(self, reason: str, in_flight: Set[int],
+                 generation: int) -> None:
         super().__init__(reason)
         self.reason = reason
         self.in_flight = set(in_flight)
+        self.generation = generation
 
 
 class _MapState:
@@ -224,7 +237,8 @@ class ResilientExecutor:
     same retry/chaos/checkpoint machinery, no pool.  The pool itself is
     created lazily and recreated transparently after breakage, so one
     executor can serve a whole series of batches (the experiment
-    harness opens one per matrix and threads it through every cell).
+    harness opens one per matrix and threads it through every cell),
+    and several threads may map on it at once.
     """
 
     def __init__(
@@ -236,6 +250,13 @@ class ResilientExecutor:
         self.workers = workers or 0
         self.policy = policy or DEFAULT_POLICY
         self._pool: Optional[ProcessPoolExecutor] = None
+        #: Bumped whenever ``_pool`` is dropped, so a caller holding
+        #: futures of an older pool knows it is gone.
+        self._generation = 0
+        #: Reentrant: :meth:`_restart` holds it across :meth:`_kill_pool`.
+        self._pool_lock = threading.RLock()
+        #: In-process items run one at a time (serial fallback).
+        self._serial_lock = threading.Lock()
         self.rebuilds = 0
 
     @property
@@ -244,15 +265,54 @@ class ResilientExecutor:
 
     # -- pool lifecycle ----------------------------------------------------
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
+    def _ensure_pool(self) -> Tuple[ProcessPoolExecutor, int]:
+        """The live pool and its generation, created on first use."""
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            return self._pool, self._generation
+
+    def _drop_pool(self) -> Optional[ProcessPoolExecutor]:
+        """Detach the live pool and start a new generation."""
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+            self._generation += 1
+        return pool
+
+    def _restart(self, generation: int) -> bool:
+        """Rebuild after the pool of ``generation`` died or hung.
+
+        Only the first caller to report a generation tears it down and
+        counts the rebuild; a later report of the same one (another
+        caller's futures died with it) is a no-op.
+        """
+        with self._pool_lock:
+            if generation != self._generation:
+                return False
+            self.rebuilds += 1
+            self._kill_pool()
+        return True
+
+    def _pool_loss(self, exc: BaseException, generation: int) -> Optional[str]:
+        """Why ``exc``, raised by ``submit`` or by a future of the pool
+        of ``generation``, is not its item's own failure, or ``None``
+        if it is.
+
+        A broken pool fails every future it holds, whichever item killed
+        the worker.  A retired generation (another caller's teardown, or
+        :meth:`shutdown`) cancels queued futures and refuses new
+        submissions with a ``RuntimeError``.
+        """
+        if isinstance(exc, BrokenProcessPool):
+            return "a worker process died"
+        if generation != self._generation:
+            return "the pool was torn down"
+        return None
 
     def _kill_pool(self) -> None:
         """Tear the pool down *now*: cancel queued work and terminate
         worker processes (a hung worker never exits on its own)."""
-        pool, self._pool = self._pool, None
+        pool = self._drop_pool()
         if pool is None:
             return
         processes = list((getattr(pool, "_processes", None) or {}).values())
@@ -271,7 +331,7 @@ class ResilientExecutor:
     def shutdown(self, cancel: bool = True) -> None:
         """Graceful teardown; ``cancel`` drops queued (not yet running)
         work so Ctrl-C never hangs behind a full queue."""
-        pool, self._pool = self._pool, None
+        pool = self._drop_pool()
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=cancel)
 
@@ -334,8 +394,6 @@ class ResilientExecutor:
                 try:
                     self._run_pooled(fn, chaos, state)
                 except _PoolRestart as restart:
-                    self._kill_pool()
-                    self.rebuilds += 1
                     # Unattributable: re-roll (attempt += 1) without a
                     # strike for everything that was in flight.
                     for index in restart.in_flight:
@@ -348,15 +406,16 @@ class ResilientExecutor:
                                 ),
                                 strike=False,
                             )
-                    _slog().warning(
-                        "pool.rebuilt",
-                        f"rebuilding worker pool ({restart.reason}); "
-                        f"re-dispatching {len(state.incomplete)} "
-                        f"incomplete item(s)",
-                        reason=restart.reason,
-                        rebuilds=self.rebuilds,
-                        remaining=len(state.incomplete),
-                    )
+                    if self._restart(restart.generation):
+                        _slog().warning(
+                            "pool.rebuilt",
+                            f"rebuilding worker pool ({restart.reason}); "
+                            f"re-dispatching {len(state.incomplete)} "
+                            f"incomplete item(s)",
+                            reason=restart.reason,
+                            rebuilds=self.rebuilds,
+                            remaining=len(state.incomplete),
+                        )
         except KeyboardInterrupt:
             # Propagate cleanly: kill workers, drop queued futures, and
             # let the caller see KeyboardInterrupt — not a
@@ -374,11 +433,12 @@ class ResilientExecutor:
         """Submit every incomplete item once and resolve the attempts.
 
         Returns when all submitted attempts resolved (completed, struck,
-        or requeued); raises :class:`_PoolRestart` when the pool died or
-        a running attempt exceeded its deadline.
+        or requeued); raises :class:`_PoolRestart` when the pool died, a
+        running attempt exceeded its deadline, or another caller tore
+        the pool down.
         """
         policy = state.policy
-        pool = self._ensure_pool()
+        pool, generation = self._ensure_pool()
         futures: Dict[Future, int] = {}
         deadlines: Dict[Future, float] = {}
         in_flight: Set[int] = set()
@@ -400,8 +460,11 @@ class ResilientExecutor:
                     time.monotonic() + policy.timeout if policy.timeout else math.inf
                 )
                 in_flight.add(index)
-        except BrokenProcessPool:
-            raise _PoolRestart("pool broke during submission", in_flight)
+        except RuntimeError as exc:
+            reason = self._pool_loss(exc, generation)
+            if reason is None:
+                raise
+            raise _PoolRestart(reason, in_flight, generation)
 
         pending = set(futures)
         while pending:
@@ -412,11 +475,12 @@ class ResilientExecutor:
                 index = futures[future]
                 try:
                     value = future.result()
-                except BrokenProcessPool:
-                    raise _PoolRestart("a worker process died", in_flight)
                 except KeyboardInterrupt:  # pragma: no cover - signal timing
                     raise
                 except BaseException as exc:
+                    reason = self._pool_loss(exc, generation)
+                    if reason is not None:
+                        raise _PoolRestart(reason, in_flight, generation)
                     # BaseException, not Exception: a worker raising
                     # SystemExit must charge its own item, not tear down
                     # the orchestrator mid-sweep (wait-freedom).
@@ -427,6 +491,12 @@ class ResilientExecutor:
                 else:
                     in_flight.discard(index)
                     state.finish(index, value)
+            if generation != self._generation:
+                # Futures a teardown left unresolved (their worker was
+                # terminated) would otherwise be waited on forever.
+                raise _PoolRestart(
+                    "the pool was torn down", in_flight, generation
+                )
             if not policy.timeout:
                 continue
             now = time.monotonic()
@@ -452,7 +522,8 @@ class ResilientExecutor:
                     ),
                 )
                 raise _PoolRestart(
-                    f"hung attempt on {state.keys[index]!r}", in_flight
+                    f"hung attempt on {state.keys[index]!r}", in_flight,
+                    generation,
                 )
 
     # -- serial fallback ---------------------------------------------------
@@ -462,17 +533,20 @@ class ResilientExecutor:
         """In-process execution of the incomplete items — the terminal
         fallback that cannot suffer pool breakage.  Chaos kills are
         converted to exceptions (never kill the orchestrator); timeouts
-        are not enforced (in-process work cannot be preempted)."""
+        are not enforced (in-process work cannot be preempted).  Items
+        of concurrent callers take turns: in-process runs share the
+        process-global obs registry."""
         for index in sorted(state.incomplete):
             while index in state.incomplete:
                 try:
-                    if chaos is not None:
-                        chaos.inject(
-                            state.keys[index],
-                            state.attempts[index],
-                            allow_kill=False,
-                        )
-                    value = fn(state.items[index])
+                    with self._serial_lock:
+                        if chaos is not None:
+                            chaos.inject(
+                                state.keys[index],
+                                state.attempts[index],
+                                allow_kill=False,
+                            )
+                        value = fn(state.items[index])
                 except KeyboardInterrupt:
                     raise
                 except BaseException as exc:

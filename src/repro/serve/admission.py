@@ -1,7 +1,7 @@
 """Self-protection primitives of the ``repro serve`` daemon.
 
 The paper's algorithm is wait-free: ``f`` crashed robots cannot block
-the correct ones.  The serving layer earns the same property with four
+the correct ones.  The serving layer earns the same property with five
 small, independently testable mechanisms, all here:
 
 * :class:`AdmissionController` — a weighted in-flight budget.  A
@@ -12,6 +12,9 @@ small, independently testable mechanisms, all here:
 * :class:`Deadline` — one wall-clock budget per request.  Queue wait,
   cache lookups and compute all draw from the same clock, so a wedged
   seed cannot hold its admission slot forever.
+* :class:`SimulationSlots` — one slot per process that computes,
+  taken one per seed a dispatch runs at once, so a request waits for a
+  free worker here, against its deadline, and never inside the pool.
 * :class:`SingleFlight` — duplicate coalescing.  ``N`` concurrent
   ``POST /run``\\ s for the same content address are one computation and
   ``N`` byte-identical responses; determinism makes the leader's bytes
@@ -27,7 +30,8 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Optional
+from collections import deque
+from typing import Deque, Dict, Optional
 
 from ..resilience import RequestDeadlineError, ServerOverloadedError
 
@@ -35,6 +39,7 @@ __all__ = [
     "AdmissionController",
     "CircuitBreaker",
     "Deadline",
+    "SimulationSlots",
     "SingleFlight",
 ]
 
@@ -166,6 +171,49 @@ class AdmissionController:
                     remaining if remaining is not None else None
                 )
             return True
+
+
+class SimulationSlots:
+    """The daemon's simulation slots, one per process that computes.
+
+    A dispatch of ``k`` seeds takes ``min(k, total)`` slots at once, so
+    the slots count busy workers, not dispatches: pooled work never
+    queues inside the pool behind another request, and the wait here is
+    the only queue, bounded by the request's deadline.  Waiters are
+    served in arrival order, so a stream of one-seed dispatches cannot
+    starve a wide one (a sweep block).
+    """
+
+    def __init__(self, total: int) -> None:
+        self.total = total
+        self._free = total
+        self._queue: Deque[object] = deque()
+        self._changed = threading.Condition()
+
+    def acquire(self, seeds: int = 1, timeout: Optional[float] = None) -> bool:
+        """Take the slots of a dispatch of ``seeds`` seeds; ``False``
+        when they did not come free within ``timeout`` seconds."""
+        need = min(seeds, self.total)
+        ticket = object()
+        with self._changed:
+            self._queue.append(ticket)
+            try:
+                taken = self._changed.wait_for(
+                    lambda: self._queue[0] is ticket and self._free >= need,
+                    timeout,
+                )
+                if taken:
+                    self._free -= need
+                return taken
+            finally:
+                self._queue.remove(ticket)
+                self._changed.notify_all()
+
+    def release(self, seeds: int = 1) -> None:
+        """Return the slots :meth:`acquire` took for ``seeds`` seeds."""
+        with self._changed:
+            self._free += min(seeds, self.total)
+            self._changed.notify_all()
 
 
 class _Flight:

@@ -40,13 +40,22 @@ coalesce onto one computation (:class:`~repro.serve.admission
 when the worker pool keeps dying.  ``close()`` drains in-flight requests
 gracefully before tearing the pool down.
 
-Threading model: the HTTP layer is a thread per connection, but
-simulation work is serialized behind one lock — the pool (or the
-in-process serial executor) is a single shared resource, and the
-per-seed obs payloads are computed from snapshots of the process-global
-registry, which concurrent in-process runs would interleave.  Cache
-hits, ``/healthz``, ``/readyz`` and ``/metrics`` bypass the lock
-entirely, so the daemon stays responsive while a cold request computes.
+Threading model: the HTTP layer is a thread per connection, and
+simulation work runs in *slots*
+(:class:`~repro.serve.admission.SimulationSlots`), one per process that
+can compute.  A daemon with a warm pool has one slot per pool worker: a
+dispatch of ``k`` seeds takes ``min(k, workers)`` of them, so misses for
+different keys compute on every worker at once, while a sweep block,
+which fills every worker, makes a concurrent ``/run`` wait for a slot
+(against its deadline) rather than inside the pool.  The shared
+:class:`~repro.resilience.ResilientExecutor` survives concurrent
+callers: a breakage seen by one request rebuilds the pool once, and the
+other requests' attempts are re-dispatched without a strike.  A daemon
+without a pool computes in its own process and keeps one slot, because
+each run's obs payload is a delta of the process-global registry, which
+concurrent in-process runs would interleave.  Cache hits, ``/healthz``,
+``/readyz`` and ``/metrics`` take no slot, so the daemon stays
+responsive while cold requests compute.
 """
 
 from __future__ import annotations
@@ -90,6 +99,7 @@ from .admission import (
     AdmissionController,
     CircuitBreaker,
     Deadline,
+    SimulationSlots,
     SingleFlight,
 )
 from .prometheus import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
@@ -197,7 +207,8 @@ class ReproServer:
         #: registry so request accounting never leaks into per-seed
         #: obs payloads.
         self.request_metrics = Metrics()
-        self._work_lock = threading.Lock()
+        #: Guards ``aggregator`` (see :meth:`_account`).
+        self._account_lock = threading.Lock()
         self._draining = False
         self._chaos_lock = threading.Lock()
         self._chaos_seq: Dict[str, int] = {}
@@ -231,6 +242,11 @@ class ReproServer:
             # rebuilt transparently by the resilience layer on breakage.
             self._pool_cm = executor(workers, policy=self.policy)
             self._pool = self._pool_cm.__enter__()
+        #: The simulation slots (see the threading model above): one
+        #: per pool worker, or one for the daemon's own process.
+        self._slots = SimulationSlots(
+            self._pool.workers if self._pool is not None else 1
+        )
         # Per-seed obs payloads (what /metrics aggregates) only exist
         # while the obs layer is on; the daemon is its natural owner.
         _obs.enable()
@@ -532,14 +548,17 @@ class ReproServer:
         deadline: Optional[Deadline] = None,
         trace: Optional[RequestTrace] = None,
     ) -> List:
-        """Run the missing seeds through the warm pool (or serially,
-        still under the retry machinery) and fold their obs payloads
-        into the aggregator under the endpoint's namespace.
+        """Run the missing seeds in simulation slots — one per seed,
+        at most one per pool worker — through the warm pool, or
+        serially in-process, both under the retry machinery, and fold
+        their obs payloads into the aggregator under the endpoint's
+        namespace.
 
-        The deadline covers the queue too: waiting for the (single)
-        simulation slot draws from the same budget as computing, so a
-        request stuck behind a slow one 504s instead of queueing
-        unboundedly.  Worker-crash outcomes feed the circuit breaker.
+        The deadline covers the queue too: waiting for free simulation
+        slots (busy with other requests) draws from the same budget as
+        computing, so a request stuck behind slow ones 504s instead of
+        queueing unboundedly.  Worker-crash outcomes feed the circuit
+        breaker.
 
         With tracing on, the whole dispatch (slot wait + pool run) is
         one ``worker_run`` span, and each result's span tail — the
@@ -557,17 +576,14 @@ class ReproServer:
             )
         try:
             remaining = None if deadline is None else deadline.remaining()
-            acquired = self._work_lock.acquire(
-                timeout=-1 if remaining is None else remaining
-            )
-            if not acquired:
+            if not self._slots.acquire(len(seeds), timeout=remaining):
                 raise RequestDeadlineError(
                     f"request deadline of {deadline.seconds}s exceeded while "
-                    "queued for the simulation slot"
+                    "queued for a simulation slot"
                 )
             try:
                 if deadline is not None:
-                    deadline.check("while queued for the simulation slot")
+                    deadline.check("while queued for a simulation slot")
                 try:
                     results = parallel_map(
                         partial(run_scenario, scenario),
@@ -587,10 +603,9 @@ class ReproServer:
                         ) from None
                     raise
                 self.breaker.record_success()
-                for seed, result in zip(seeds, results):
-                    self._account(seed, result, prefix)
             finally:
-                self._work_lock.release()
+                self._slots.release(len(seeds))
+            self._account(results, prefix)
         except BaseException:
             if worker_span is not None:
                 trace.end(worker_span, error=True)
@@ -603,19 +618,25 @@ class ReproServer:
                 )
         return results
 
-    def _account(self, seed: int, result, prefix: str) -> None:
+    def _account(self, results: Sequence, prefix: str) -> None:
+        """Fold one dispatch's results into the aggregator; dispatches
+        in different simulation slots finish concurrently."""
         agg = self.aggregator
-        agg.total_seeds += 1
-        agg.done += 1
-        agg.rounds += result.rounds
-        agg.verdicts[result.verdict] = agg.verdicts.get(result.verdict, 0) + 1
-        payload = getattr(result, "obs", None)
-        if payload is not None:
-            agg.workers.add(payload.get("pid"))
-            agg.span_count += len(payload.get("spans", ()))
-            agg.add_metrics(
-                namespace_delta(payload.get("metrics", {}), prefix)
-            )
+        with self._account_lock:
+            for result in results:
+                agg.total_seeds += 1
+                agg.done += 1
+                agg.rounds += result.rounds
+                agg.verdicts[result.verdict] = (
+                    agg.verdicts.get(result.verdict, 0) + 1
+                )
+                payload = getattr(result, "obs", None)
+                if payload is not None:
+                    agg.workers.add(payload.get("pid"))
+                    agg.span_count += len(payload.get("spans", ()))
+                    agg.add_metrics(
+                        namespace_delta(payload.get("metrics", {}), prefix)
+                    )
 
     # -- request accounting ------------------------------------------------
 
@@ -657,6 +678,8 @@ class ReproServer:
             data["p99"] = hist.quantile(0.99)
             hists[name] = data
         store_counters = self.store.counters()
+        with self._account_lock:
+            sweep = self.aggregator.to_dict()
         return {
             "schema": "repro-serve-metrics-v1",
             "version": __version__,
@@ -680,7 +703,7 @@ class ReproServer:
                 "coalesced": self.flights.coalesced,
                 "quarantined": store_counters["quarantined"],
             },
-            "sweep": self.aggregator.to_dict(),
+            "sweep": sweep,
         }
 
     def healthz_document(self) -> dict:

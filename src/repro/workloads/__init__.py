@@ -2,9 +2,11 @@
 
 from .generators import (
     CLASS_GENERATORS,
+    SIZE_RULES,
     asymmetric,
     biangular,
     bivalent,
+    check_size,
     gathered,
     generate,
     linear_unique_weber,
@@ -20,6 +22,8 @@ from .perturb import break_symmetry, jitter
 
 __all__ = [
     "CLASS_GENERATORS",
+    "SIZE_RULES",
+    "check_size",
     "asymmetric",
     "biangular",
     "bivalent",

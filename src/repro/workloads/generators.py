@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Dict, List
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Tuple
 
 from ..core import ConfigClass, Configuration, classify
 from ..geometry import DEFAULT_TOLERANCE, Point
+from ..resilience.errors import TraceFormatError
 
 __all__ = [
     "random_points",
@@ -32,11 +34,42 @@ __all__ = [
     "asymmetric",
     "generate",
     "CLASS_GENERATORS",
+    "SIZE_RULES",
+    "check_size",
 ]
 
 
 def _rng(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+@dataclass(frozen=True)
+class SizeRule:
+    """The team sizes one generator can build: at least ``low`` robots,
+    an even number of them when ``even``, and none of ``gaps``."""
+
+    low: int
+    even: bool = False
+    gaps: Tuple[int, ...] = ()
+
+    def admits(self, n: int) -> bool:
+        return n >= self.low and not (self.even and n % 2) and (
+            n not in self.gaps
+        )
+
+    def __str__(self) -> str:
+        text = f"{'an even ' if self.even else ''}n >= {self.low}"
+        return text + "".join(f", n != {gap}" for gap in self.gaps)
+
+
+def check_size(kind: str, n: int) -> None:
+    """Refuse a team size the ``kind`` generator cannot build (see
+    :data:`SIZE_RULES`) as a :class:`~repro.resilience.TraceFormatError`,
+    so the CLI prints one ``error:`` line and ``repro serve`` answers
+    400 before any run starts."""
+    rule = SIZE_RULES[kind]
+    if not rule.admits(n):
+        raise TraceFormatError(f"workload {kind!r} needs {rule}, got n={n}")
 
 
 def random_points(n: int, seed: int = 0, scale: float = 10.0) -> List[Point]:
@@ -45,8 +78,7 @@ def random_points(n: int, seed: int = 0, scale: float = 10.0) -> List[Point]:
     Almost surely distinct, non-collinear and asymmetric — the "generic"
     workload.
     """
-    if n < 1:
-        raise ValueError("need at least one robot")
+    check_size("random", n)
     rng = _rng(seed)
     return [
         Point(rng.uniform(0.0, scale), rng.uniform(0.0, scale))
@@ -56,6 +88,7 @@ def random_points(n: int, seed: int = 0, scale: float = 10.0) -> List[Point]:
 
 def gathered(n: int, seed: int = 0, scale: float = 10.0) -> List[Point]:
     """All robots at one point — the trivial gathered configuration."""
+    check_size("gathered", n)
     rng = _rng(seed)
     p = Point(rng.uniform(0.0, scale), rng.uniform(0.0, scale))
     return [p] * n
@@ -67,8 +100,7 @@ def multiple(n: int, seed: int = 0, scale: float = 10.0) -> List[Point]:
     Places ``k >= 2`` robots on a single point (with ``k`` strictly above
     every other multiplicity) and spreads the rest.
     """
-    if n < 3:
-        raise ValueError("class M with distinct other points needs n >= 3")
+    check_size("multiple", n)
     seed_try = seed
     while True:
         rng = _rng(seed_try)
@@ -84,8 +116,7 @@ def multiple(n: int, seed: int = 0, scale: float = 10.0) -> List[Point]:
 
 def bivalent(n: int, seed: int = 0, scale: float = 10.0) -> List[Point]:
     """The impossible configuration ``B``: two points, ``n/2`` robots each."""
-    if n < 2 or n % 2 != 0:
-        raise ValueError("bivalent configurations need an even n >= 2")
+    check_size("bivalent", n)
     rng = _rng(seed)
     a = Point(rng.uniform(0, scale), rng.uniform(0, scale))
     b = Point(rng.uniform(0, scale), rng.uniform(0, scale))
@@ -100,8 +131,7 @@ def near_bivalent(n: int, seed: int = 0, scale: float = 10.0) -> List[Point]:
     The workload of the safe-point ablation (experiment E9): one greedy
     step away from the bivalent trap.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
+    check_size("near-bivalent", n)
     seed_try = seed
     while True:
         rng = _rng(seed_try)
@@ -131,9 +161,7 @@ def linear_unique_weber(n: int, seed: int = 0, scale: float = 10.0) -> List[Poin
     collinear locations with total multiplicity 4 always have a unique
     maximum, and four distinct points have a median interval.)
     """
-    if n < 3 or n == 4:
-        raise ValueError("L1W needs n = 3 or n >= 5")
-    rng = _rng(seed)
+    check_size("linear-unique", n)
     seed_try = seed
     while True:
         rng = _rng(seed_try)
@@ -161,8 +189,7 @@ def linear_weber_interval_config(
     (Lemma 4.1) with distinct middle order statistics and no unique
     multiplicity maximum.
     """
-    if n < 4 or n % 2 != 0:
-        raise ValueError("L2W needs an even n >= 4 (Lemma 4.1)")
+    check_size("linear-interval", n)
     rng = _rng(seed)
     origin = Point(rng.uniform(0, scale), rng.uniform(0, scale))
     angle = rng.uniform(0, 2 * math.pi)
@@ -186,8 +213,7 @@ def regular_polygon(
     symmetric configuration is regular, hence quasi-regular).
     """
     k = n - center_robots
-    if k < 3:
-        raise ValueError("need at least 3 robots on the polygon")
+    check_size("regular-polygon", k)
     rng = _rng(seed)
     center = Point(rng.uniform(0, scale), rng.uniform(0, scale))
     radius = rng.uniform(scale / 4, scale / 2)
@@ -212,8 +238,7 @@ def biangular(n: int, seed: int = 0, scale: float = 10.0) -> List[Point]:
     the case where the string-of-angles machinery genuinely earns its
     keep.
     """
-    if n < 6 or n % 2 != 0:
-        raise ValueError("biangular configurations need an even n >= 6")
+    check_size("biangular", n)
     seed_try = seed
     while True:
         rng = _rng(seed_try)
@@ -251,8 +276,7 @@ def quasi_regular_occupied_center(
     stacking more robots there would make it the unique maximum and the
     class would collapse to ``M``.
     """
-    if n < 6:
-        raise ValueError("need n >= 6")
+    check_size("qr-occupied-center", n)
     seed_try = seed
     while True:
         rng = _rng(seed_try)
@@ -300,8 +324,7 @@ def unsafe_ray(n: int, seed: int = 0, scale: float = 10.0) -> List[Point]:
     the bivalent trap.  The paper's side-step rule (case ``M``) exists
     precisely to make this impossible.  Used by experiment E9.
     """
-    if n < 6 or n % 2 != 0:
-        raise ValueError("unsafe-ray needs an even n >= 6")
+    check_size("unsafe-ray", n)
     rng = _rng(seed)
     p = Point(rng.uniform(0, scale), rng.uniform(0, scale))
     angle = rng.uniform(0, 2 * math.pi)
@@ -321,8 +344,7 @@ def unsafe_ray(n: int, seed: int = 0, scale: float = 10.0) -> List[Point]:
 
 def asymmetric(n: int, seed: int = 0, scale: float = 10.0) -> List[Point]:
     """A configuration of class ``A`` — generic position, verified."""
-    if n < 3:
-        raise ValueError("need n >= 3")
+    check_size("asymmetric", n)
     seed_try = seed
     while True:
         pts = random_points(n, seed_try, scale)
@@ -345,6 +367,27 @@ CLASS_GENERATORS: Dict[str, Callable[[int, int], List[Point]]] = {
     "qr-occupied-center": quasi_regular_occupied_center,
     "unsafe-ray": unsafe_ray,
     "asymmetric": asymmetric,
+}
+
+
+#: The team sizes each generator can build, stated once; each generator
+#: checks its own (:func:`check_size`), and
+#: :class:`~repro.experiments.runner.Scenario` checks its workload's
+#: when it is built.  ``linear-interval`` needs Lemma 4.1's even
+#: ``n >= 4``; no ``linear-unique`` configuration of 4 robots exists.
+SIZE_RULES: Dict[str, SizeRule] = {
+    "random": SizeRule(1),
+    "gathered": SizeRule(1),
+    "multiple": SizeRule(3),
+    "bivalent": SizeRule(2, even=True),
+    "near-bivalent": SizeRule(3),
+    "linear-unique": SizeRule(3, gaps=(4,)),
+    "linear-interval": SizeRule(4, even=True),
+    "regular-polygon": SizeRule(3),
+    "biangular": SizeRule(6, even=True),
+    "qr-occupied-center": SizeRule(6),
+    "unsafe-ray": SizeRule(6, even=True),
+    "asymmetric": SizeRule(3),
 }
 
 

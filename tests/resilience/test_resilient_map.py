@@ -12,6 +12,11 @@ recover on retry) rather than magic constants that silently stop
 triggering when the hash input format changes.
 """
 
+import os
+import signal
+import threading
+import time
+
 import pytest
 
 from repro import obs
@@ -33,10 +38,13 @@ def square(x):
 
 
 def sleepy(seconds):
-    import time
-
     time.sleep(seconds)
     return seconds
+
+
+def slow_square(x):
+    time.sleep(0.2 if x >= 10 else 0.0)
+    return x * x
 
 
 #: No backoff, generous rebuild budget: fault-heavy tests stay fast.
@@ -217,6 +225,136 @@ class TestPooled:
                 square, [6, 7], keys=["k0", "k1"], chaos=chaos
             )
         assert results == [36, 49]
+
+    def test_pool_broken_before_submission_is_rebuilt(self):
+        # A worker dies between two maps (or during a retry's backoff):
+        # the next submit raises BrokenProcessPool, a RuntimeError, which
+        # must rebuild the pool rather than fail the map.
+        with ResilientExecutor(2, policy=FAST) as pool:
+            assert pool.map_resilient(square, [1, 2]) == [1, 4]
+            live = pool._pool
+            os.kill(next(iter(live._processes)), signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while not live._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert live._broken
+            items = list(range(6))
+            assert pool.map_resilient(square, items) == [
+                square(x) for x in items
+            ]
+            assert pool.rebuilds == 1
+
+
+def run_callers(*calls, stagger=0.0):
+    """Run each ``call()`` in its own thread, starting them ``stagger``
+    seconds apart; -> each call's return value or raised exception."""
+    outcomes = [None] * len(calls)
+
+    def run(index, call):
+        try:
+            outcomes[index] = call()
+        except Exception as exc:
+            outcomes[index] = exc
+
+    threads = [
+        threading.Thread(target=run, args=(i, call))
+        for i, call in enumerate(calls)
+    ]
+    for thread in threads:
+        thread.start()
+        time.sleep(stagger)
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    return outcomes
+
+
+class TestConcurrentCallers:
+    """Two threads mapping on one pool: a breakage or a hung attempt in
+    one caller's items tears the pool down once and costs the other
+    caller's in-flight items no strike."""
+
+    def test_kill_in_one_caller_costs_the_other_no_strike(self):
+        # A's item "a1" SIGKILLs its worker on its first attempt.  B's
+        # three slow items are still running or queued on that pool
+        # whichever caller submits first.
+        chaos = seed_where(
+            lambda p: p.decide("a1", 0) == "kill" and p.decide("a1", 1) is None,
+            kill=0.5,
+            match="a1",
+        )
+        b_items = [10, 11, 12]
+        b_failures = []
+        policy = RunPolicy(retries=0, backoff=0.0, tick=0.02)
+        with ResilientExecutor(2, policy=policy) as pool:
+            a_out, b_out = run_callers(
+                lambda: pool.map_resilient(
+                    square, [1, 2], keys=["a0", "a1"], chaos=chaos
+                ),
+                lambda: pool.map_resilient(
+                    slow_square,
+                    b_items,
+                    keys=[f"b{x}" for x in b_items],
+                    chaos=chaos,
+                    on_failure=lambda key, exc, strike: b_failures.append(
+                        (key, strike)
+                    ),
+                ),
+            )
+            rebuilds = pool.rebuilds
+        assert a_out == [1, 4]
+        assert b_out == [slow_square(x) for x in b_items]
+        # B was in flight on the dead pool, and re-dispatched unstruck.
+        assert b_failures
+        assert not any(strike for _, strike in b_failures)
+        # One real breakage, one rebuild, however many callers saw it.
+        assert rebuilds == 1
+
+    def test_hung_attempt_in_one_caller_costs_the_other_no_strike(self):
+        # A's item hangs past its deadline, so A tears the pool down;
+        # B (no retry budget at all) has items queued on it, whose
+        # futures that teardown cancels.
+        b_items = list(range(10, 20))
+        hung = RunPolicy(timeout=0.5, retries=0, backoff=0.0, tick=0.02)
+        strict = RunPolicy(retries=0, backoff=0.0, tick=0.02)
+        with ResilientExecutor(2, policy=strict) as pool:
+            a_out, b_out = run_callers(
+                lambda: pool.map_resilient(
+                    sleepy, [30.0], keys=["hang"], policy=hung
+                ),
+                lambda: pool.map_resilient(
+                    slow_square, b_items, keys=[f"b{x}" for x in b_items]
+                ),
+                # A's attempt is running before B submits.
+                stagger=0.2,
+            )
+            rebuilds = pool.rebuilds
+        assert isinstance(a_out, SeedTimeoutError)
+        assert b_out == [slow_square(x) for x in b_items]
+        assert rebuilds == 1
+
+    def test_serial_items_of_concurrent_callers_take_turns(self):
+        # In-process runs share the process-global obs registry, so the
+        # serial path never runs two items at once.
+        active, peak = [0], [0]
+        lock = threading.Lock()
+
+        def counted(x):
+            with lock:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+            time.sleep(0.02)
+            with lock:
+                active[0] -= 1
+            return x * x
+
+        serial = ResilientExecutor(None, policy=FAST)
+        outcomes = run_callers(
+            lambda: serial.map_resilient(counted, [1, 2, 3]),
+            lambda: serial.map_resilient(counted, [4, 5, 6]),
+        )
+        assert outcomes == [[1, 4, 9], [16, 25, 36]]
+        assert peak[0] == 1
 
 
 class TestRunBatchUnderChaos:

@@ -6,6 +6,7 @@ coalescing, breaker state machine) is pinned at the layer that owns it.
 The server-level tests then only need to prove the wiring.
 """
 
+import sys
 import threading
 import time
 
@@ -16,6 +17,7 @@ from repro.serve.admission import (
     AdmissionController,
     CircuitBreaker,
     Deadline,
+    SimulationSlots,
     SingleFlight,
 )
 
@@ -103,6 +105,76 @@ class TestAdmissionController:
             AdmissionController(0)
         with pytest.raises(ValueError):
             AdmissionController(None, sweep_weight=0)
+
+
+class TestSimulationSlots:
+    def test_a_dispatch_takes_one_slot_per_seed_up_to_the_total(self):
+        slots = SimulationSlots(2)
+        assert slots.acquire(16)  # a sweep block fills every worker
+        assert not slots.acquire(1, timeout=0.05)
+        slots.release(16)
+        assert slots.acquire(1)
+        assert slots.acquire(1)
+        assert not slots.acquire(1, timeout=0)
+        slots.release(1)
+        slots.release(1)
+        assert slots.acquire(2, timeout=0)
+
+    def test_waiters_are_served_in_arrival_order(self):
+        # A wide dispatch at the head of the queue is not overtaken by
+        # a narrow one that would fit in the slot already free.
+        slots = SimulationSlots(2)
+        assert slots.acquire(1)
+        wide = threading.Thread(target=slots.acquire, args=(2, 30))
+        wide.start()
+        deadline = time.monotonic() + 30
+        while not slots._queue and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert not slots.acquire(1, timeout=0.1)
+        slots.release(1)
+        wide.join(timeout=30)
+        assert not wide.is_alive()
+        assert not slots.acquire(1, timeout=0)
+        slots.release(2)
+        assert slots.acquire(2, timeout=0)
+
+    def test_busy_slots_never_exceed_the_total(self):
+        slots = SimulationSlots(2)
+        busy, peak, timeouts = [0], [0], []
+        lock = threading.Lock()
+        start = threading.Barrier(8)
+
+        def dispatch(seeds):
+            width = min(seeds, slots.total)
+            start.wait(timeout=30)
+            for _ in range(200):
+                if not slots.acquire(seeds, timeout=30):
+                    timeouts.append(seeds)
+                    return
+                with lock:
+                    busy[0] += width
+                    peak[0] = max(peak[0], busy[0])
+                with lock:
+                    busy[0] -= width
+                slots.release(seeds)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=dispatch, args=(1 + i % 3,))
+                for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert timeouts == []
+        assert peak[0] == 2
+        assert slots.acquire(2, timeout=0)
 
 
 class TestSingleFlight:

@@ -8,10 +8,25 @@ guarantees, which must hold for *every* interleaving:
 * every response body for one key is byte-identical;
 * the request/cache counters add up — nothing double-counted, nothing
   lost.
+
+And the simulation slots: a daemon with a pool computes misses for
+different keys on every worker at once, a daemon without one computes
+one seed at a time.
 """
 
 import json
+import multiprocessing
+import sys
 import threading
+import time
+from types import SimpleNamespace
+
+import pytest
+
+import repro.resilience.pool as pool_module
+import repro.serve.server as server_module
+from repro.experiments.runner import run_scenario
+from repro.resilience import RunPolicy
 
 from .client import serving
 
@@ -22,6 +37,36 @@ SCENARIO = {
     "crashes": "random",
     "max_rounds": 5000,
 }
+
+
+#: Two-party barrier of :func:`rendezvous_run`, made before the pool
+#: forks so both workers inherit it.
+_RENDEZVOUS = None
+
+
+def rendezvous_run(scenario, seed):
+    """``run_scenario`` that first waits for a second run to start, so
+    it returns only if two runs overlap in time."""
+    _RENDEZVOUS.wait(timeout=10)
+    return run_scenario(scenario, seed)
+
+
+#: Set by :func:`slow_run` once a run has started; made before the pool
+#: forks, like :data:`_RENDEZVOUS`.
+_STARTED = None
+
+
+def slow_run(scenario, seed):
+    """``run_scenario`` that signals it started, then takes a second."""
+    _STARTED.set()
+    time.sleep(1.0)
+    return run_scenario(scenario, seed)
+
+
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the workers inherit the synchronization object by fork",
+)
 
 
 def fire_concurrently(client, payloads):
@@ -86,16 +131,16 @@ class TestIdenticalRequests:
             assert states.count("miss") == 1
 
     def test_coalesced_followers_wait_for_leader(self, tmp_path):
-        # Serialize the simulation behind a request already holding the
-        # work lock: followers for the same key must then overlap the
-        # leader and coalesce (not recompute) once it releases.
+        # Hold the only simulation slot of a daemon without a pool:
+        # followers for the same key must then overlap the leader and
+        # coalesce (not recompute) once it releases.
         with serving(store_root=str(tmp_path / "store")) as client:
             release = threading.Event()
-            client.server._work_lock.acquire()
+            client.server._slots.acquire()
             holder = threading.Thread(
                 target=lambda: (
                     release.wait(10),
-                    client.server._work_lock.release(),
+                    client.server._slots.release(),
                 )
             )
             holder.start()
@@ -110,8 +155,8 @@ class TestIdenticalRequests:
 
                 thread = threading.Thread(target=racers)
                 thread.start()
-                # All four requests are now parked (one on the work
-                # lock, three on the flight); let them go.
+                # All four requests are now parked (one on the slot,
+                # three on the flight); let them go.
                 deadline_t = threading.Event()
                 deadline_t.wait(0.2)
                 release.set()
@@ -145,3 +190,117 @@ class TestDistinctRequests:
             assert store.stores == len(seeds)  # nothing recomputed
             hits = client.metrics()["requests"]["serve.cache.hit"]
             assert hits >= len(seeds)
+
+
+class TestSimulationSlots:
+    @fork_only
+    def test_pooled_misses_for_different_keys_overlap(self, monkeypatch):
+        # Each run waits for a second one: with one slot per worker the
+        # two cold misses meet at the barrier; behind one slot the first
+        # times out there and the request fails (no retries).
+        monkeypatch.setattr(
+            f"{__name__}._RENDEZVOUS", multiprocessing.Barrier(2)
+        )
+        monkeypatch.setattr(server_module, "run_scenario", rendezvous_run)
+        with serving(workers=2, policy=RunPolicy(retries=0)) as client:
+            payloads = [{"scenario": SCENARIO, "seed": s} for s in (1, 2)]
+            results = fire_concurrently(client, payloads)
+            for seed, (status, headers, raw) in zip((1, 2), results):
+                assert status == 200, raw
+                assert headers["X-Repro-Cache"] == "miss"
+                assert json.loads(raw)["seed"] == seed
+
+    @fork_only
+    def test_run_behind_a_sweep_block_waits_for_a_slot(self, monkeypatch):
+        # A two-seed sweep block fills both workers, so it holds both
+        # slots: a concurrent /run waits for a slot, not inside the
+        # pool, and its short deadline is a 504 that costs the sweep no
+        # strike and the pool no rebuild.
+        monkeypatch.setattr(f"{__name__}._STARTED", multiprocessing.Event())
+        monkeypatch.setattr(server_module, "run_scenario", slow_run)
+        charges = []
+        charge = pool_module._MapState.charge
+
+        def recording_charge(state, index, exc, strike=True):
+            charges.append((state.keys[index], strike))
+            charge(state, index, exc, strike)
+
+        monkeypatch.setattr(pool_module._MapState, "charge", recording_charge)
+        with serving(workers=2) as client:
+            box = {}
+            sweeper = threading.Thread(
+                target=lambda: box.update(
+                    sweep=client.sweep(SCENARIO, seed_start=0, seed_count=2)
+                )
+            )
+            sweeper.start()
+            try:
+                assert _STARTED.wait(30)
+                status, _, raw = client.run(SCENARIO, seed=9, deadline_s=0.3)
+            finally:
+                sweeper.join(timeout=60)
+            assert status == 504, raw
+            assert json.loads(raw)["error"] == "RequestDeadlineError"
+            sweep_status, _, sweep_raw = box["sweep"]
+            assert sweep_status == 200
+            lines = [json.loads(line) for line in sweep_raw.splitlines()]
+            assert [line["seed"] for line in lines[:-1]] == [0, 1]
+            assert client.server._pool.rebuilds == 0
+            assert client.server.store.stores == 2
+            breaker = client.metrics()["robustness"]["breaker"]
+            assert breaker["recent_failures"] == 0
+        assert charges == []
+
+    def test_daemon_without_pool_computes_one_seed_at_a_time(
+        self, monkeypatch
+    ):
+        # In-process runs share the process-global obs registry their
+        # payloads are deltas of, so they never overlap.
+        active, peak = [0], [0]
+        lock = threading.Lock()
+
+        def counted_run(scenario, seed):
+            with lock:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+            try:
+                time.sleep(0.05)
+                return run_scenario(scenario, seed)
+            finally:
+                with lock:
+                    active[0] -= 1
+
+        monkeypatch.setattr(server_module, "run_scenario", counted_run)
+        with serving() as client:
+            payloads = [{"scenario": SCENARIO, "seed": s} for s in range(4)]
+            results = fire_concurrently(client, payloads)
+            assert [status for status, _, _ in results] == [200] * 4
+            assert client.server.store.stores == 4
+        assert peak[0] == 1
+
+    def test_concurrent_accounting_loses_no_update(self):
+        # Dispatches in different slots fold their results at once; a
+        # tiny switch interval makes an unguarded += lose updates.
+        results = [SimpleNamespace(rounds=3, verdict="gathered")] * 2000
+        with serving() as client:
+            start = threading.Barrier(8)
+
+            def dispatch():
+                start.wait(timeout=30)
+                client.server._account(results, "serve.run")
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=dispatch) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            sweep = client.metrics()["sweep"]
+        assert sweep["seeds"]["done"] == 16000
+        assert sweep["rounds"]["total"] == 48000
+        assert sweep["verdicts"] == {"gathered": 16000}

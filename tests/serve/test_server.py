@@ -138,16 +138,14 @@ class TestErrorMapping:
             assert status == 404
             assert json.loads(raw)["kind"] == "error"
 
-    def test_failing_run_surfaces_as_structured_500(self):
-        # The scenario is well formed, but the bivalent generator refuses
-        # an odd team size when the run builds its workload: the failure
-        # is charged against the retry budget and surfaces as
-        # WorkerCrashError -> structured 500 JSON, never a dead socket
-        # or a traceback.
+    def test_failing_run_surfaces_as_structured_500(self, monkeypatch):
+        # The scenario is well formed, but an injected fault fails its
+        # run in compute: the failure is charged against the retry
+        # budget and surfaces as WorkerCrashError -> structured 500
+        # JSON, never a dead socket or a traceback.
+        monkeypatch.setenv("REPRO_CHAOS", "seed=1,error=1.0,match=seed5")
         with serving(policy=RunPolicy(retries=0, backoff=0.0)) as client:
-            status, _, raw = client.run(
-                dict(SCENARIO, workload="bivalent", n=5)
-            )
+            status, _, raw = client.run(SCENARIO, seed=5)
             body = json.loads(raw)
             assert status == 500
             assert body["kind"] == "error"
@@ -162,6 +160,7 @@ MALFORMED = {
     "unknown-algorithm": dict(SCENARIO, algorithm="nope"),
     "negative-f": dict(SCENARIO, f=-1),
     "batched-visibility": dict(SCENARIO, engine="batched", visibility=5.0),
+    "bivalent-odd-n": dict(SCENARIO, workload="bivalent", n=5),
 }
 
 

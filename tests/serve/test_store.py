@@ -17,6 +17,8 @@ import threading
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.serve.server as server_module
+from repro.experiments.runner import Scenario
 from repro.serve.store import ResultStore, result_key
 
 SCENARIO = {
@@ -96,6 +98,32 @@ class TestKeyCanonicalization:
         a = result_key({"halt": True}, 0, **CONTEXT)
         b = result_key({"halt": 1}, 0, **CONTEXT)
         assert a != b
+
+
+#: Daemon cache keys of a few scenarios, as computed before
+#: ``Scenario.to_dict`` dropped its deep copy: entries stored by earlier
+#: daemons of the same code version must keep hitting.
+PINNED_KEYS = [
+    (dict(workload="random", n=6, f=1, crashes="random", max_rounds=5000),
+     0, "2615ea9035c2487550abedb6a06749f688c1df9a0a9fdc7fa2658316b359b006"),
+    (dict(workload="asymmetric", n=8.0, f=2, scheduler="fsync",
+          movement="rigid"),
+     7, "507944f57fb49d01e7c6073fac07558e1563c2ddaaedd9feb463be1d728c3a81"),
+    (dict(workload="regular-polygon", n=6, engine="async", visibility=3.5),
+     1, "a021e0d4f6f5bcbc5f739806b080ce5c8909d0b60c32257584ddf6e9ea817add"),
+    (dict(workload="random", n=12, f=3, engine="batched",
+          halt_on_bivalent=False),
+     42, "cb6472a2828ceba4e603b92f37a97adac25fc781e698ccec11108f8dcbcd6451"),
+]
+
+
+class TestDaemonKeys:
+    def test_keys_are_stable(self, monkeypatch):
+        # The key hashes the code version too; pin the one the values
+        # above were computed under.
+        monkeypatch.setattr(server_module, "__version__", "1.0.0")
+        for fields, seed, key in PINNED_KEYS:
+            assert server_module._key(Scenario(**fields), seed) == key
 
 
 class TestStoreSemantics:

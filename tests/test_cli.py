@@ -78,6 +78,12 @@ class TestScenarioCheck:
             ["profile", "--n", "0"],
             ["render", "{tmp}/x.svg", "--n", "0"],
             ["sweep", "--engine", "batched", "--visibility", "5"],
+            ["simulate", "--workload", "bivalent", "--n", "5"],
+            ["simulate", "--workload", "linear-unique", "--n", "4"],
+            ["classify", "--workload", "bivalent", "--n", "3"],
+            ["render", "{tmp}/x.svg", "--workload", "biangular", "--n", "7"],
+            ["sweep", "--engine", "batched", "--workload", "unsafe-ray",
+             "--n", "4"],
         ],
         ids=lambda argv: "-".join(a.strip("-") for a in argv if "{" not in a),
     )
@@ -170,6 +176,18 @@ class TestRender:
         with open(target) as handle:
             assert handle.read().startswith("<svg")
         assert "gathered" in capsys.readouterr().out
+
+    def test_render_run_halted_at_round_zero(self, capsys, tmp_path):
+        # A bivalent start halts before any round: the picture is the
+        # start configuration, as with --snapshot.
+        target = str(tmp_path / "halted.svg")
+        code = main(
+            ["render", target, "--workload", "bivalent", "--n", "6"]
+        )
+        assert code == 0
+        with open(target) as handle:
+            assert handle.read().startswith("<svg")
+        assert "(impossible in 0 rounds)" in capsys.readouterr().out
 
     def test_render_snapshot(self, capsys, tmp_path):
         target = str(tmp_path / "snap.svg")

@@ -5,6 +5,7 @@ import pytest
 from repro.core import ConfigClass, Configuration, classify
 from repro.workloads import (
     CLASS_GENERATORS,
+    SIZE_RULES,
     biangular,
     bivalent,
     gathered,
@@ -91,6 +92,9 @@ class TestValidation:
     def test_random_needs_positive(self):
         with pytest.raises(ValueError):
             random_points(0)
+
+    def test_every_generator_has_a_size_rule(self):
+        assert set(SIZE_RULES) == set(CLASS_GENERATORS)
 
 
 class TestShapes:
