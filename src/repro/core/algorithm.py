@@ -117,11 +117,10 @@ def _move_multiple(config: Configuration, r: Point) -> Point:
     c = config.max_multiplicity_points()[0]
     if r == c:
         return r  # lines 2-3: the elected location stays put
-    blocked = any(
-        point_strictly_between(r, c, q, config.tol)
-        for q in config.support
-        if q not in (r, c)
-    )
+    # r and c themselves are never strictly between r and c, so the
+    # whole support can be tested.
+    tol = config.tol
+    blocked = any(point_strictly_between(r, c, q, tol) for q in config.support)
     if not blocked:
         return c  # line 5: free robot heads straight for c
     return _side_step(config, r, c)

@@ -24,6 +24,7 @@ round all active robots classify the same configuration.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..geometry import (
@@ -41,13 +42,25 @@ __all__ = ["Configuration"]
 def _merge_clusters(points: Sequence[Point], tol: Tolerance) -> Dict[Point, Point]:
     """Map each input point to its cluster representative.
 
-    Union-find over pairs closer than ``eps_dist``; representative is the
-    lexicographic minimum of the cluster, which makes the merge
-    independent of the order near-pairs are discovered in.  All pairs are
-    scanned (quadratic in ``n``, fine for robot-team sizes).
+    Clusters are the connected components of "closer than ``eps_dist``";
+    the representative is the lexicographic minimum of the cluster (the
+    first input point at that position), which makes the merge
+    independent of the order near-pairs are discovered in.  Equal points
+    share one entry of the returned map first.  The distinct positions
+    are then swept in x order (positions are finite), and a pair is
+    skipped only once its x gap exceeds ``2 * eps_dist``, so the exact
+    ``hypot`` test still decides every pair that could merge.
     """
-    pts = list(points)
-    parent = list(range(len(pts)))
+    # Each distinct point starts as its own representative.
+    mapping: Dict[Point, Point] = {}
+    first = mapping.setdefault
+    for p in points:
+        first(p, p)
+    firsts = list(mapping)
+    m = len(firsts)
+    xs = [p.x for p in firsts]
+    ys = [p.y for p in firsts]
+    parent = list(range(m))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -55,23 +68,35 @@ def _merge_clusters(points: Sequence[Point], tol: Tolerance) -> Dict[Point, Poin
             i = parent[i]
         return i
 
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if pts[i].distance_to(pts[j]) <= tol.eps_dist:
-                union(i, j)
-
-    rep_of_root: Dict[int, Point] = {}
-    for i, p in enumerate(pts):
-        root = find(i)
-        cur = rep_of_root.get(root)
-        if cur is None or p < cur:
-            rep_of_root[root] = p
-    return {p: rep_of_root[find(i)] for i, p in enumerate(pts)}
+    eps = tol.eps_dist
+    reach = 2.0 * eps
+    hypot = math.hypot
+    order = sorted(range(m), key=xs.__getitem__)
+    merged = False
+    for k, i in enumerate(order):
+        xi = xs[i]
+        yi = ys[i]
+        for j in order[k + 1 :]:
+            xj = xs[j]
+            if xj - xi > reach:
+                break
+            if hypot(xi - xj, yi - ys[j]) <= eps:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+                    merged = True
+    if merged:
+        rep_of_root: Dict[int, Point] = {}
+        for i, p in enumerate(firsts):
+            root = find(i)
+            cur = rep_of_root.get(root)
+            if cur is None or p < cur:
+                rep_of_root[root] = p
+        for i, p in enumerate(firsts):
+            rep = rep_of_root[find(i)]
+            if rep is not p:
+                mapping[p] = rep
+    return mapping
 
 
 class Configuration:
@@ -95,6 +120,7 @@ class Configuration:
         "_mult",
         "_rep_of_input",
         "_sec",
+        "_max_points",
         "_is_linear",
         "_sorted",
         "_hash",
@@ -125,6 +151,8 @@ class Configuration:
         self._support: Tuple[Point, ...] = tuple(sorted(mult))
         self._mult: Dict[Point, int] = mult
         self._sec: Optional[Circle] = None
+        # Asked once per robot in an M-case round (the move target).
+        self._max_points: Optional[Tuple[Point, ...]] = None
         self._is_linear: Optional[bool] = None
         # Sorted multiset and its hash, computed lazily: __eq__/__hash__
         # are hit by trace dedup and memo keys, and re-sorting the full
@@ -228,8 +256,12 @@ class Configuration:
 
     def max_multiplicity_points(self) -> List[Point]:
         """All support points achieving the maximum multiplicity."""
-        top = self.max_multiplicity()
-        return [p for p in self._support if self._mult[p] == top]
+        if self._max_points is None:
+            top = self.max_multiplicity()
+            self._max_points = tuple(
+                p for p in self._support if self._mult[p] == top
+            )
+        return list(self._max_points)
 
     def is_gathered(self) -> bool:
         """True when all robots occupy one location."""

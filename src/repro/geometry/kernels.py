@@ -364,90 +364,86 @@ def batched_weiszfeld(
     ``repro.geometry.weber._weiszfeld`` with its stopping rule: stop
     when an iterate moves at most ``eps_solver`` or after
     ``max_iterations`` steps.  The still-running sims are kept in
-    compacted ``(k, n)`` arrays; a sim's row is written out and dropped
-    the step it stops, so late steps only touch the few slow sims.
-    Every elementwise operation and per-row sum is the same on any set
-    of rows, so a sim's result does not depend on the batch it is
+    compacted arrays, their points stacked as one ``(2, k, n)`` array
+    (x plane, y plane) and their iterates as one ``(2, k)`` array, so
+    each step's elementwise work and weighted sums cover both
+    coordinates in one NumPy call; a sim's row is written out and
+    dropped the step it stops, so late steps only touch the few slow
+    sims.  Every elementwise operation, and every per-row sum (an
+    ``add.reduce`` over the contiguous last axis), is the same on any
+    set of rows, so a sim's result does not depend on the batch it is
     solved in.  NumPy sums round differently from the reference's
     left-to-right additions, so iterates agree within ``eps_solver``,
     not to the bit; callers re-certify the result per sim
     (`is_weber_point`).  Returns one ``(x, y, iterations)`` per sim.
     """
-    pts = _np.asarray(points, dtype=_np.float64)
-    st = _np.asarray(starts, dtype=_np.float64)
+    np = _np
+    add = np.add
+    hypot = np.hypot
+    pts = np.asarray(points, dtype=np.float64)
+    st = np.asarray(starts, dtype=np.float64)
     s_count = pts.shape[0]
-    out_x = st[:, 0].copy()
-    out_y = st[:, 1].copy()
-    iters = _np.full(s_count, max_iterations, dtype=_np.int64)
+    out = st.T.copy()
+    iters = np.full(s_count, max_iterations, dtype=np.int64)
     # The running sims: their original rows, points and iterates.
-    rows = _np.arange(s_count)
-    px = _np.ascontiguousarray(pts[:, :, 0])
-    py = _np.ascontiguousarray(pts[:, :, 1])
-    x = out_x.copy()
-    y = out_y.copy()
+    rows = np.arange(s_count)
+    p = np.ascontiguousarray(pts.transpose(2, 0, 1))
+    x = out.copy()
     for step in range(1, max_iterations + 1):
-        dx = px - x[:, None]
-        dy = py - y[:, None]
-        d = _np.hypot(dx, dy)
+        delta = p - x[:, :, None]
+        d = hypot(delta[0], delta[1])
         mask = d > eps_solver
-        if mask.all():
+        if np.logical_and.reduce(mask, axis=None):
             # No running sim has an input point at its iterate: the
             # plain Weiszfeld step, with no Vardi-Zhang residual.  Most
             # steps of a sweep take it.  `_vardi_zhang_step` gives the
             # same bits on these rows, but running it on every step
             # more than doubles the kernel's time on sweep inputs.
             w = 1.0 / d
-            wsum = w.sum(axis=1)
-            nx = (px * w).sum(axis=1) / wsum
-            ny = (py * w).sum(axis=1) / wsum
-            stop = _np.hypot(nx - x, ny - y) <= eps_solver
+            nxt = add.reduce(p * w, axis=2) / add.reduce(w, axis=1)
+            move = nxt - x
+            stop = hypot(move[0], move[1]) <= eps_solver
         else:
-            nx, ny, stop = _vardi_zhang_step(
-                px, py, x, y, dx, dy, d, mask, eps_solver
-            )
-        x = nx
-        y = ny
-        if stop.any():
+            nxt, stop = _vardi_zhang_step(p, x, delta, d, mask, eps_solver)
+        x = nxt
+        if np.logical_or.reduce(stop):
             done = rows[stop]
-            out_x[done] = x[stop]
-            out_y[done] = y[stop]
+            out[:, done] = x[:, stop]
             iters[done] = step
             keep = ~stop
             rows = rows[keep]
-            px = px[keep]
-            py = py[keep]
-            x = x[keep]
-            y = y[keep]
+            p = p[:, keep]
+            x = x[:, keep]
             if rows.size == 0:
                 break
-    out_x[rows] = x
-    out_y[rows] = y
-    return list(zip(out_x.tolist(), out_y.tolist(), iters.tolist()))
+    out[:, rows] = x
+    return list(zip(out[0].tolist(), out[1].tolist(), iters.tolist()))
 
 
-def _vardi_zhang_step(px, py, x, y, dx, dy, d, mask, eps_solver):
+def _vardi_zhang_step(p, x, delta, d, mask, eps_solver):
     """One Weiszfeld step of :func:`batched_weiszfeld` when some running
     sim has input points at its iterate (``mask`` is False there).
 
     Those sims take the Vardi-Zhang pull-back; a sim whose points all
     sit at its iterate, or whose residual pull is zero, is at a
-    fixpoint and holds.  Returns the next iterates and the stop mask.
+    fixpoint and holds.  ``p``, ``x`` and ``delta`` are the stacked
+    ``(2, k, n)`` points, ``(2, k)`` iterates and ``p - x`` offsets.
+    Returns the next iterates and the stop mask.
     """
-    w = _np.divide(1.0, d, out=_np.zeros_like(d), where=mask)
-    far = mask.sum(axis=1)
+    np = _np
+    add = np.add
+    w = np.divide(1.0, d, out=np.zeros_like(d), where=mask)
+    far = add.reduce(mask, axis=1)
     hold = far == 0  # every point at the iterate: optimal
-    safe_wsum = _np.where(hold, 1.0, w.sum(axis=1))
-    tx = (px * w).sum(axis=1) / safe_wsum
-    ty = (py * w).sum(axis=1) / safe_wsum
-    at_x = px.shape[1] - far
+    safe_wsum = np.where(hold, 1.0, add.reduce(w, axis=1))
+    target = add.reduce(p * w, axis=2) / safe_wsum
+    at_x = p.shape[2] - far
     pulled = at_x > 0
-    rx = (dx * w).sum(axis=1)
-    ry = (dy * w).sum(axis=1)
-    r_norm = _np.hypot(rx, ry)
+    residual = add.reduce(delta * w, axis=2)
+    r_norm = np.hypot(residual[0], residual[1])
     hold |= pulled & (r_norm == 0.0)
-    beta = _np.minimum(1.0, at_x / _np.where(r_norm > 0.0, r_norm, 1.0))
-    nx = _np.where(pulled, x + (1.0 - beta) * (tx - x), tx)
-    ny = _np.where(pulled, y + (1.0 - beta) * (ty - y), ty)
-    nx = _np.where(hold, x, nx)
-    ny = _np.where(hold, y, ny)
-    return nx, ny, hold | (_np.hypot(nx - x, ny - y) <= eps_solver)
+    beta = np.minimum(1.0, at_x / np.where(r_norm > 0.0, r_norm, 1.0))
+    nxt = np.where(pulled, x + (1.0 - beta) * (target - x), target)
+    nxt = np.where(hold, x, nxt)
+    move = nxt - x
+    return nxt, hold | (np.hypot(move[0], move[1]) <= eps_solver)

@@ -13,7 +13,8 @@ the robots' agreed clockwise sense.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, List, Sequence
+import math
+from typing import Iterable, List, Optional, Sequence
 
 from .point import Point
 from .tolerance import DEFAULT_TOLERANCE, Tolerance
@@ -113,20 +114,53 @@ def project_parameter(a: Point, b: Point, p: Point) -> float:
     return (p - a).dot(d) / denom
 
 
+def _off_endpoints_on_segment(
+    a: Point, b: Point, p: Point, eps: float
+) -> Optional[bool]:
+    """The float body of :func:`point_on_segment` and
+    :func:`point_strictly_between`.
+
+    ``None`` when ``p`` is within ``eps`` of ``a`` or ``b``.  Otherwise
+    whether ``p`` lies on the segment: ``a`` and ``b`` are farther apart
+    than ``eps``, ``p`` is inside :func:`orientation`'s collinearity band
+    ``eps * max(|ab|, |ap|, 1)``, and its :func:`project_parameter` lies
+    in ``[0, 1]`` widened by ``eps / |ab|``.  Each quantity is the one
+    those functions compute, to the bit.
+    """
+    ax = a.x
+    ay = a.y
+    px = p.x
+    py = p.y
+    apx = px - ax
+    apy = py - ay
+    ap = math.hypot(apx, apy)
+    if ap <= eps:
+        return None
+    bx = b.x
+    by = b.y
+    if math.hypot(px - bx, py - by) <= eps:
+        return None
+    dx = bx - ax
+    dy = by - ay
+    ab = math.hypot(dx, dy)
+    if ab <= eps:
+        return False
+    if not abs(dx * apy - dy * apx) <= eps * max(ab, ap, 1.0):
+        return False
+    denom = dx * dx + dy * dy
+    if denom == 0.0:
+        raise ValueError("degenerate segment: a == b")
+    t = (apx * dx + apy * dy) / denom
+    slack = eps / ab
+    return -slack <= t <= 1.0 + slack
+
+
 def point_on_segment(
     a: Point, b: Point, p: Point, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> bool:
     """True when ``p`` lies on the closed segment ``[a, b]``."""
-    if p.close_to(a, tol) or p.close_to(b, tol):
-        return True
-    if a.close_to(b, tol):
-        return p.close_to(a, tol)
-    if not are_collinear(a, b, p, tol):
-        return False
-    t = project_parameter(a, b, p)
-    span = a.distance_to(b)
-    slack = tol.eps_dist / span
-    return -slack <= t <= 1.0 + slack
+    on = _off_endpoints_on_segment(a, b, p, tol.eps_dist)
+    return True if on is None else on
 
 
 def point_strictly_between(
@@ -137,9 +171,7 @@ def point_strictly_between(
     This is the paper's "a robot is located in ``(r, c)``" test that
     decides whether a robot in an ``M`` configuration is free or blocked.
     """
-    if p.close_to(a, tol) or p.close_to(b, tol):
-        return False
-    return point_on_segment(a, b, p, tol)
+    return _off_endpoints_on_segment(a, b, p, tol.eps_dist) is True
 
 
 def points_on_open_segment(

@@ -12,7 +12,8 @@ and the pool is dead, and one hung item stalls the sweep forever.
 * bounded **retries** with exponential backoff per item;
 * automatic **pool rebuild** when the pool breaks or a worker hangs —
   re-dispatching only the incomplete items — degrading to serial
-  in-process execution after ``max_pool_rebuilds`` breakages;
+  in-process execution after ``max_pool_rebuilds`` breakages within
+  one :meth:`~ResilientExecutor.map_resilient` call;
 * an ``on_result`` callback fired the moment each item completes, which
   is what the checkpoint journal hangs off.
 
@@ -128,7 +129,8 @@ class RunPolicy:
     backoff: float = 0.1
     #: Ceiling of the backoff (seconds).
     backoff_cap: float = 5.0
-    #: Pool breakages/hangs tolerated before degrading to serial.
+    #: Pool breakages/hangs tolerated within one ``map_resilient`` call
+    #: before the rest of that call degrades to serial.
     max_pool_rebuilds: int = 3
     #: Granularity of the future-wait loop (seconds).
     tick: float = 0.05
@@ -257,6 +259,7 @@ class ResilientExecutor:
         self._pool_lock = threading.RLock()
         #: In-process items run one at a time (serial fallback).
         self._serial_lock = threading.Lock()
+        #: Pool rebuilds over the executor's life (telemetry reads it).
         self.rebuilds = 0
 
     @property
@@ -376,14 +379,19 @@ class ResilientExecutor:
         if chaos is not None and not chaos.enabled:
             chaos = None
         state = _MapState(items, keys, policy, on_result, on_failure)
+        # The rebuild budget is per call: a long-lived executor (the
+        # serve daemon's) keeps its pool after breakages in earlier
+        # calls.  Rebuilds by concurrent callers during this call count.
+        rebuilds_before = self.rebuilds
 
         try:
             while state.incomplete:
-                if self.serial or self.rebuilds > policy.max_pool_rebuilds:
+                broke = self.rebuilds - rebuilds_before
+                if self.serial or broke > policy.max_pool_rebuilds:
                     if not self.serial:
                         _slog().warning(
                             "pool.serial_fallback",
-                            f"pool broke {self.rebuilds} time(s); "
+                            f"pool broke {broke} time(s) during this map; "
                             f"degrading to serial execution for "
                             f"{len(state.incomplete)} remaining item(s)",
                             rebuilds=self.rebuilds,

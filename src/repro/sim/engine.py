@@ -401,10 +401,13 @@ class Simulation:
         Among support points within ``snap_tolerance`` the last one
         achieving the running minimum distance wins.
         """
+        hypot = math.hypot
+        x = dest.x
+        y = dest.y
         best = None
         best_d = self.snap_tolerance
         for p in config.support:
-            d = dest.distance_to(p)
+            d = hypot(x - p.x, y - p.y)
             if d <= best_d:
                 best, best_d = p, d
         return best if best is not None else dest

@@ -72,6 +72,9 @@ class TestMultiplicity:
         tops = c.max_multiplicity_points()
         assert sorted(tops) == [Point(0, 0), Point(1, 1)]
         assert c.max_multiplicity() == 2
+        # Cached per configuration; a caller's edit must not leak.
+        tops.clear()
+        assert c.max_multiplicity_points() == [Point(0, 0), Point(1, 1)]
 
     def test_locate_tolerant(self, tol):
         c = Configuration([Point(1, 1)])

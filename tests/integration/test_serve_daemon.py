@@ -14,8 +14,8 @@ the telemetry files promoted on shutdown are covered too.
   Its request is a structured 500 that opens the circuit breaker, a
   healthy ``/run`` sent while that seed is still being retried is a 200,
   a healthy seed afterwards closes the breaker, an expired deadline is a
-  504, and SIGTERM drains to exit 0.  The store the daemon leaves is
-  the one CI's offline store audit checks.
+  504, and SIGTERM drains to exit 0.  An offline ``repro serve-store``
+  audit of the store the daemon leaves then finds every entry intact.
 """
 
 import json
@@ -81,6 +81,16 @@ def _stop(process, log_path):
     """SIGTERM the daemon; it must drain and exit 0."""
     process.send_signal(signal.SIGTERM)
     assert process.wait(timeout=60) == 0, _read(log_path)
+
+
+def _serve_store(action, store, *flags):
+    """``python -m repro serve-store ACTION STORE``; it must exit 0."""
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "serve-store", action, store, *flags],
+        env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    return done.stdout
 
 
 class TestDaemonProcess:
@@ -151,8 +161,9 @@ class TestDaemonProcess:
 
     def test_worker_kill_chaos_then_sigterm_drain(self, tmp_path):
         log = str(tmp_path / "serve.log")
+        store = str(tmp_path / "store")
         with daemon(
-            log, "--store", str(tmp_path / "store"), "--workers", "2",
+            log, "--store", store, "--workers", "2",
             "--retries", "1", "--breaker-threshold", "1",
             "--max-inflight", "8",
             # Seed 7's worker is SIGKILLed on every attempt.
@@ -206,3 +217,11 @@ class TestDaemonProcess:
             assert robustness["deadline_exceeded"] >= 1, robustness
             assert robustness["breaker"]["trips"] == 1, robustness
             _stop(process, log)
+
+        # Offline store audit of the cache the chaos run populated.
+        report = json.loads(_serve_store("verify", store, "--json"))
+        assert report["checked"] >= 1, report
+        assert report["corrupt"] == 0, report
+        assert report["unreadable"] == 0, report
+        _serve_store("stats", store)
+        _serve_store("gc", store)

@@ -47,6 +47,10 @@ def slow_square(x):
     return x * x
 
 
+def pid_of(_):
+    return os.getpid()
+
+
 #: No backoff, generous rebuild budget: fault-heavy tests stay fast.
 FAST = RunPolicy(retries=2, backoff=0.0, tick=0.02)
 
@@ -186,6 +190,37 @@ class TestPooled:
         events = [r["event"] for r in records if r["level"] == "warning"]
         assert events.count("pool.rebuilt") == 1
         assert events.count("pool.serial_fallback") == 1
+
+    def test_rebuild_budget_is_per_call(self):
+        # A long-lived executor (the serve daemon's) must not stay
+        # serial for good once its lifetime breakages pass the budget:
+        # the budget covers the rebuilds of one map, not all of them.
+        chaos = seed_where(
+            lambda p: p.decide("k0", 0) == "kill"
+            and any(p.decide("k0", a) is None for a in range(1, 3)),
+            kill=0.5,
+            match="k0",
+        )
+        policy = RunPolicy(retries=2, backoff=0.0, max_pool_rebuilds=0, tick=0.02)
+        records = []
+        obs.log_hub.add_sink(records.append)
+        try:
+            with ResilientExecutor(2, policy=policy) as pool:
+                assert pool.map_resilient(
+                    square, [3, 4], keys=["k0", "k1"], chaos=chaos
+                ) == [9, 16]
+                assert pool.rebuilds == 1
+                fallbacks = [r["event"] for r in records].count(
+                    "pool.serial_fallback"
+                )
+                assert fallbacks == 1
+                pids = pool.map_resilient(pid_of, list(range(4)))
+                assert pool.rebuilds == 1
+        finally:
+            obs.log_hub.remove_sink(records.append)
+        assert os.getpid() not in pids
+        events = [r["event"] for r in records]
+        assert events.count("pool.serial_fallback") == fallbacks
 
     def test_hung_item_times_out_and_fails_as_timeout(self):
         # One item sleeps far past the deadline; it must be charged a
