@@ -14,7 +14,7 @@ from .invariants import (
     phi,
     verify_trace,
 )
-from .statistics import mean, median, stddev, wilson_interval
+from .statistics import mean, median
 
 __all__ = [
     "BivalentHunt",
@@ -34,6 +34,4 @@ __all__ = [
     "verify_trace",
     "mean",
     "median",
-    "stddev",
-    "wilson_interval",
 ]

@@ -1,6 +1,6 @@
 """Command-line interface: ``repro-gather`` (or ``python -m repro``).
 
-Three subcommands:
+Thirteen subcommands:
 
 ``simulate``
     Run one simulation and print the outcome (optionally a round-by-round
@@ -20,10 +20,18 @@ Three subcommands:
     Measure the published scaling numbers (scalar, batched and serve)
     and append them to ``BENCH_micro.json``.
 
+``hunt``
+    Run the greedy adversarial search for the bivalent trap against one
+    algorithm.
+
 ``check``
     The reproducibility gate: re-simulate archived traces and verify
     bit-identical replay (``--replay``, ``--corpus``) and run the
     invariant suite over archives offline (``--invariants``).
+
+``render``
+    Draw a run (or, with ``--snapshot``, its start configuration) as
+    SVG.
 
 ``sweep``
     Run one scenario over a seed range under the resilient execution
@@ -38,6 +46,10 @@ Three subcommands:
     /run`` and ``POST /sweep`` served through a content-addressed
     result cache (deterministic simulation makes cache hits exact and
     permanent), ``GET /healthz`` and ``GET /metrics`` for operations.
+
+``serve-store``
+    Audit a daemon's on-disk result store offline: ``verify``, ``gc``
+    and ``stats``.
 
 ``stats``
     Summarize a trace JSON or an observability JSONL event stream as
@@ -54,8 +66,8 @@ Three subcommands:
 
 ``profile``
     Run one scenario with the observability layer on and print the
-    profile: per-kernel call counts and wall time, per-class round
-    counts, Weber solver statistics.
+    profile: per-class round counts, counters and stats (Weber solver
+    statistics, and the batched engine's kernel timings).
 """
 
 from __future__ import annotations
@@ -508,20 +520,6 @@ def _print_obs_tables() -> None:
         else:
             other.add_row(name, counters[name])
 
-    kernel_table = Table(
-        "obs-kernels",
-        "per-kernel call counts and wall time",
-        ["kernel", "backend", "calls", "total_ms", "mean_us"],
-    )
-    for row in snapshot.get("kernels", []):
-        kernel_table.add_row(
-            row["kernel"],
-            row["backend"],
-            row["calls"],
-            row["total_s"] * 1e3,
-            row["mean_s"] * 1e6,
-        )
-
     stats_table = Table(
         "obs-stats",
         "observed value aggregates",
@@ -533,7 +531,7 @@ def _print_obs_tables() -> None:
             name, stat["count"], stat["mean"], stat["min"], stat["max"]
         )
 
-    for table in (classes, kernel_table, stats_table, other):
+    for table in (classes, stats_table, other):
         if table.rows:
             print(table.render())
             print()
@@ -817,7 +815,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
 
         def on_seed(seed: int, result) -> None:
-            aggregator.seed_done(seed, result)
+            aggregator.seed_done(result)
             dashboard.update()
 
         def on_failure(key: str, exc: BaseException, strike: bool) -> None:
@@ -1074,35 +1072,38 @@ def _read_input(path: str, command: str, schemas: Tuple[str, ...]):
     )
 
 
+def _read_round_events(path: str, stream):
+    """The round events of a trace archive (``stream`` is ``None``) or of
+    a ``repro-obs-v1`` event stream: ``(meta, events, run_end
+    summaries)``.  The one reader behind ``repro stats`` and ``repro
+    trace-export``."""
+    from .obs import RoundEvent, round_events
+
+    if stream is not None:
+        events, run_ends = round_events(stream)
+        return stream.meta, events, run_ends
+    from .sim.replay import load_trace
+
+    trace = load_trace(path)
+    engine = trace.meta.engine if trace.meta else "atom"
+    events = [
+        RoundEvent.from_record(record, engine=engine)
+        for record in trace.records
+    ]
+    return (trace.meta.to_dict() if trace.meta else None), events, []
+
+
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from .obs import (
-        LOG_SCHEMA,
-        OBS_SCHEMA,
-        SPANS_SCHEMA,
-        RoundEvent,
-        round_events,
-    )
+    from .obs import LOG_SCHEMA, OBS_SCHEMA, SPANS_SCHEMA
 
     stream = _read_input(
         args.input, "stats", (LOG_SCHEMA, OBS_SCHEMA, SPANS_SCHEMA)
     )
-    if stream is None:
-        from .sim.replay import load_trace
-
-        trace = load_trace(args.input)
-        engine = trace.meta.engine if trace.meta else "atom"
-        events = [
-            RoundEvent.from_record(record, engine=engine)
-            for record in trace.records
-        ]
-        meta = trace.meta.to_dict() if trace.meta else None
-        run_ends = []
-        source = "trace archive"
-    elif stream.schema == LOG_SCHEMA:
+    if stream is not None and stream.schema == LOG_SCHEMA:
         # A structured log gets its own summary (levels, events,
         # warn-once keys) — it carries no round events.
         return _cmd_log_stats(args.input, stream.meta, stream.records)
-    elif stream.schema == SPANS_SCHEMA:
+    if stream is not None and stream.schema == SPANS_SCHEMA:
         # A spans file handed to the wrong command: one structured line
         # pointing at the right one.
         raise TraceFormatError(
@@ -1111,10 +1112,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             f"events; convert it with 'repro trace-export' instead",
             path=args.input,
         )
-    else:
-        events, run_ends = round_events(stream)
-        meta = stream.meta
-        source = "obs event stream"
+    meta, events, run_ends = _read_round_events(args.input, stream)
+    source = "trace archive" if stream is None else "obs event stream"
 
     print(f"{args.input}: {source}, {len(events)} round events")
     if meta:
@@ -1170,12 +1169,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _synthetic_round_events(rows: List[dict], pid: int, label: str) -> List[dict]:
-    """Round summaries -> Chrome trace events on a synthetic timeline.
+def _synthetic_round_events(rounds, pid: int, label: str) -> List[dict]:
+    """Round events -> Chrome trace events on a synthetic timeline.
 
     Event streams and trace archives carry no wall-clock timing, so
     each round gets one fixed 1 ms slot; what the export shows is the
     *structure* — class transitions, crashes, movement — not latency.
+    Both input kinds export the same per-round args.
     """
     slot_us = 1000.0
     events: List[dict] = [
@@ -1187,18 +1187,25 @@ def _synthetic_round_events(rows: List[dict], pid: int, label: str) -> List[dict
             "args": {"name": label},
         }
     ]
-    for i, row in enumerate(rows):
+    for i, event in enumerate(rounds):
         events.append(
             {
-                "name": f"round {row.get('round', i)} "
-                        f"[{row.get('config_class', '?')}]",
+                "name": f"round {event.round_index} [{event.config_class}]",
                 "cat": "round",
                 "ph": "X",
                 "ts": i * slot_us,
                 "dur": slot_us,
                 "pid": pid,
                 "tid": 0,
-                "args": row,
+                "args": {
+                    "round": event.round_index,
+                    "config_class": event.config_class,
+                    "support": event.support,
+                    "spread": event.spread,
+                    "active": len(event.active),
+                    "crashed": len(event.crashed),
+                    "moved": len(event.moved),
+                },
             }
         )
     return events
@@ -1212,30 +1219,10 @@ def _export_one_input(path: str, pid: int) -> Tuple[List[dict], str]:
     ``pid`` labels this input's track group, so multiple inputs merged
     into one file stay visually separate in Perfetto.
     """
-    from .obs import (
-        OBS_SCHEMA,
-        SPANS_SCHEMA,
-        chrome_trace_events,
-        round_events,
-    )
+    from .obs import OBS_SCHEMA, SPANS_SCHEMA, chrome_trace_events
 
     stream = _read_input(path, "trace-export", (SPANS_SCHEMA, OBS_SCHEMA))
-    if stream is None:
-        from .sim.replay import load_trace
-
-        trace = load_trace(path)
-        rows = [
-            {
-                "round": record.round_index,
-                "config_class": record.config_class.value,
-                "moved": len(record.moved),
-                "crashed": len(record.crashed_now),
-                "active": len(record.active),
-            }
-            for record in trace.records
-        ]
-        kind = f"trace archive ({len(rows)} rounds)"
-    elif stream.schema == SPANS_SCHEMA:
+    if stream is not None and stream.schema == SPANS_SCHEMA:
         label = os.path.basename(path)
         meta_block = stream.meta or {}
         scenario = meta_block.get("scenario") or {}
@@ -1257,20 +1244,10 @@ def _export_one_input(path: str, pid: int) -> Tuple[List[dict], str]:
                 path=path,
             ) from exc
         return events, f"span stream ({len(stream.records)} spans)"
-    else:
-        rows = [
-            {
-                "round": e.round_index,
-                "config_class": e.config_class,
-                "moved": len(e.moved),
-                "crashed": len(e.crashed),
-                "support": e.support,
-                "spread": e.spread,
-            }
-            for e in round_events(stream)[0]
-        ]
-        kind = f"obs event stream ({len(rows)} rounds)"
-    return _synthetic_round_events(rows, pid, os.path.basename(path)), kind
+    _, rounds, _ = _read_round_events(path, stream)
+    source = "trace archive" if stream is None else "obs event stream"
+    kind = f"{source} ({len(rounds)} rounds)"
+    return _synthetic_round_events(rounds, pid, os.path.basename(path)), kind
 
 
 def _cmd_trace_export(args: argparse.Namespace) -> int:

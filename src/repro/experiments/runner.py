@@ -175,7 +175,8 @@ class Scenario:
     #: Execution model: ``"atom"`` (the paper's semi-synchronous rounds),
     #: ``"async"`` (the CORDA tick engine; ``max_rounds`` then bounds
     #: ticks) or ``"batched"`` (many seeds stepped in lockstep through
-    #: the same round ladder, seed-equivalent to ``"atom"``).
+    #: the same round ladder, seed-equivalent to ``"atom"`` with
+    #: ``frames="identity"``).
     #: Part of the scenario — and therefore of the trace schema — so
     #: archived ASYNC runs replay on the right engine.
     engine: str = "atom"
@@ -333,25 +334,20 @@ def run_scenario(
     JSON alone.
 
     A ``"batched"`` scenario runs the seed through a one-sim
-    :class:`~repro.sim.BatchedSimulation` (seed-equivalent to the scalar
-    engine).  The batched engine keeps no per-round trace, so
-    ``record_trace`` is rejected — replay with ``engine="atom"`` instead,
-    which reproduces the same run.
+    :class:`~repro.sim.BatchedSimulation`, whose chunk attaches the obs
+    payload.  The batched engine keeps no per-round trace, so
+    ``record_trace`` is rejected — replay with ``engine="atom"`` and
+    ``frames="identity"`` instead, the scalar run of what the batched
+    engine computed.
     """
     if scenario.engine == "batched":
         if record_trace:
             raise ValueError(
                 "the batched engine records no trace; replay with "
-                "engine='atom' (seed-equivalent by the equivalence suite)"
+                "engine='atom' and frames='identity'"
             )
-        before = aggregate.capture_before() if _obs.state.enabled else None
         engine_seeds = None if engine_seed is None else [engine_seed]
-        result = run_batched(scenario, [seed], engine_seeds=engine_seeds)[0]
-        if _obs.state.enabled:
-            _obs.metrics.inc("runner.runs")
-            _obs.metrics.inc("runner.rounds", result.rounds)
-            result.obs = aggregate.seed_payload(before)
-        return result
+        return run_batched(scenario, [seed], engine_seeds=engine_seeds)[0]
     # The capture point precedes the build: workload generation and
     # algorithm setup do real geometry, and that work belongs to the
     # seed's delta — otherwise it vanishes between payload windows.
@@ -399,12 +395,22 @@ def _run_batched_chunk(
     padding-invariant), so chunk composition never affects results —
     which is what lets ``--resume`` re-chunk the remaining seeds freely.
 
-    ``scenario.frames`` is deliberately ignored: the algorithm is frame
-    equivariant (checked by the invariance suite), so the batched engine
-    computes every snapshot in the global frame once per sim instead of
-    once per robot, and a batched scenario has no visibility radius.
+    The batched engine computes every snapshot in the global frame, once
+    per sim instead of once per robot, whatever ``scenario.frames`` says;
+    a batched scenario has no visibility radius.  The scalar engine with
+    ``frames="identity"`` runs the same computation.  With random frames
+    it can end differently where a distance test sits within a robot's
+    private unit of the tolerance band (4 of 257 seeds of a 16-robot
+    random-crash sweep).
+
+    With the obs layer on, the whole chunk — workload generation to the
+    last round — is one capture window: its delta rides on the first
+    result, and every other result carries a pid-only empty payload, so
+    :meth:`~repro.obs.aggregate.Aggregator.seed_done` merges the chunk
+    exactly once and counts each of its seeds as fresh.
     """
     seeds = list(seeds)
+    before = aggregate.capture_before() if _obs.state.enabled else None
     if engine_seeds is None:
         engine_seeds = [scenario.engine_seed(seed) for seed in seeds]
     sim = BatchedSimulation(
@@ -419,7 +425,15 @@ def _run_batched_chunk(
         max_rounds=scenario.max_rounds,
         halt_on_bivalent=scenario.halt_on_bivalent,
     )
-    return sim.run_all()
+    results = sim.run_all()
+    if before is not None:
+        _obs.metrics.inc("runner.runs", len(results))
+        _obs.metrics.inc("runner.rounds", sum(r.rounds for r in results))
+        payload = aggregate.seed_payload(before)
+        results[0].obs = payload
+        for result in results[1:]:
+            result.obs = {"pid": payload["pid"], "metrics": {}}
+    return results
 
 
 def run_batched(
@@ -434,10 +448,10 @@ def run_batched(
     Seeds are stepped ``batch_size`` (default
     :data:`DEFAULT_BATCH_SIZE`) at a time through
     :class:`~repro.sim.BatchedSimulation`; each result is
-    seed-equivalent to :func:`run_scenario` on the ``"atom"`` engine and
-    independent of the chunking (kernel padding is inert, and a sim's
-    Weber solve does not depend on its batch), so any ``batch_size``
-    returns the same results.
+    seed-equivalent to :func:`run_scenario` on the ``"atom"`` engine with
+    ``frames="identity"`` and independent of the chunking (kernel padding
+    is inert, and a sim's Weber solve does not depend on its batch), so
+    any ``batch_size`` returns the same results.
     """
     seeds = list(seeds)
     size = resolve_batch_size(batch_size)
@@ -605,9 +619,10 @@ def run_batch(
     but the journal records and ``on_seed_result`` fires per seed, so
     dashboard/aggregator/resume behave exactly as on the scalar engines
     (a resume re-chunks the remaining seeds; results are
-    chunk-invariant).  Failure archiving replays on ``engine="atom"``:
-    the batched engine keeps no trace, and the equivalence suite makes
-    the scalar replay reproduce the batched run.
+    chunk-invariant).  Failure archiving replays on ``engine="atom"``
+    with ``frames="identity"``: the batched engine keeps no trace, and
+    it computes in the global frame, which the scalar engine reproduces
+    only with identity frames.
     """
     seeds = list(seeds)
     size = resolve_batch_size(batch_size)
@@ -693,10 +708,11 @@ def run_batch(
         should_archive = archive_if or (
             lambda r: not r.gathered and r.verdict != "impossible"
         )
-        # The batched engine keeps no trace; archive the seed-equivalent
-        # scalar run instead (the trace then replays on the atom engine).
+        # The batched engine keeps no trace; archive the scalar run of
+        # its global-frame computation (it then replays on the atom
+        # engine).
         replay_scenario = (
-            replace(scenario, engine="atom")
+            replace(scenario, engine="atom", frames="identity")
             if scenario.engine == "batched"
             else scenario
         )

@@ -2,24 +2,20 @@
 
 Everything the paper's algorithm needs from the plane lives here:
 tolerant predicates, clockwise angles under chirality, smallest enclosing
-circles, convex hulls, orientation-preserving local frames, and Weber
-point machinery.  See DESIGN.md section 3 for the inventory and section 4
+circles, orientation-preserving local frames, and Weber point
+machinery.  See DESIGN.md section 3 for the inventory and section 4
 for the tolerance model.
 """
 
 from . import kernels
 from .angles import (
     TWO_PI,
-    angle_sum_is_full_turn,
     clockwise_angle,
     direction_angle,
     normalize_angle,
     rotate_clockwise,
-    rotate_counterclockwise,
 )
 from .circle import Circle, circumcircle, smallest_enclosing_circle
-from .convex_hull import convex_hull, in_convex_hull
-from .line import HalfLine, Line, Segment
 from .point import ORIGIN, Point, centroid, distance
 from .predicates import (
     Orientation,
@@ -29,8 +25,6 @@ from .predicates import (
     orientation,
     point_on_segment,
     point_strictly_between,
-    points_on_open_segment,
-    points_sorted_along,
     project_parameter,
 )
 from .tolerance import DEFAULT_TOLERANCE, Tolerance
@@ -45,22 +39,14 @@ from .weber import (
 )
 
 __all__ = [
-    "kernels",
     "TWO_PI",
-    "angle_sum_is_full_turn",
     "clockwise_angle",
     "direction_angle",
     "normalize_angle",
     "rotate_clockwise",
-    "rotate_counterclockwise",
     "Circle",
     "circumcircle",
     "smallest_enclosing_circle",
-    "convex_hull",
-    "in_convex_hull",
-    "HalfLine",
-    "Line",
-    "Segment",
     "ORIGIN",
     "Point",
     "centroid",
@@ -72,8 +58,6 @@ __all__ = [
     "orientation",
     "point_on_segment",
     "point_strictly_between",
-    "points_on_open_segment",
-    "points_sorted_along",
     "project_parameter",
     "DEFAULT_TOLERANCE",
     "Tolerance",

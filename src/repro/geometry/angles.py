@@ -18,10 +18,8 @@ only orientation-preserving local frames (see
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 from .point import Point
-from .tolerance import DEFAULT_TOLERANCE, Tolerance
 
 __all__ = [
     "TWO_PI",
@@ -29,8 +27,6 @@ __all__ = [
     "direction_angle",
     "clockwise_angle",
     "rotate_clockwise",
-    "rotate_counterclockwise",
-    "angle_sum_is_full_turn",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -80,24 +76,3 @@ def rotate_clockwise(p: Point, center: Point, theta: float) -> Point:
     dx, dy = p.x - center.x, p.y - center.y
     # Clockwise rotation = CCW rotation by -theta.
     return Point(center.x + c * dx + s * dy, center.y - s * dx + c * dy)
-
-
-def rotate_counterclockwise(p: Point, center: Point, theta: float) -> Point:
-    """Rotate ``p`` about ``center`` by ``theta`` radians counter-clockwise."""
-    return rotate_clockwise(p, center, -theta)
-
-
-def angle_sum_is_full_turn(
-    angles: Iterable[float], tol: Tolerance = DEFAULT_TOLERANCE
-) -> bool:
-    """Check that a string of angles closes up to a full turn.
-
-    The string of angles of Definition 4 always sums to ``2*pi`` when the
-    apex is strictly inside the angular hull of the points; the invariant
-    checkers use this as a sanity predicate.  The tolerance is scaled by
-    the number of summands since each contributes its own rounding.
-    """
-    values = list(angles)
-    total = math.fsum(values)
-    slack = tol.eps_angle * max(1, len(values))
-    return abs(total - TWO_PI) <= slack

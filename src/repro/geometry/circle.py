@@ -50,10 +50,6 @@ class Circle:
         """Closed-disk membership, with a tolerance band on the boundary."""
         return self.center.distance_to(p) <= self.radius + tol.eps_dist
 
-    def on_boundary(self, p: Point, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-        """True when ``p`` is on the circle itself (within tolerance)."""
-        return abs(self.center.distance_to(p) - self.radius) <= tol.eps_dist
-
 
 def circumcircle(a: Point, b: Point, c: Point) -> Optional[Circle]:
     """Circle through three points, or ``None`` when they are collinear.

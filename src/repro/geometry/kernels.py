@@ -63,9 +63,6 @@ def numpy_module():
 #: sim computes its own tower.
 KERNEL_MIN_N = 8
 
-#: Backend label of every kernel row ``repro-obs-v1`` records.
-_BACKEND = "numpy"
-
 _TWO_PI = 2.0 * math.pi
 
 
@@ -80,16 +77,16 @@ def set_backend(name: str) -> str:
 
 
 def _timed(fn):
-    """Per-kernel observability: call count + wall time + backend label.
+    """Per-kernel observability: each call's wall time.
 
     The first kernel call imports NumPy.  With observability disabled
     (the default) the wrapper is then two reads and a tail call — no
     timer, no allocation.  Enabled, each call is timed with
-    ``perf_counter`` and recorded under the kernel's name, feeding the
-    metrics registry's kernel rows, the ``kernel_seconds`` latency
-    histogram, any registered ``on_kernel`` hooks, and — when span
-    tracing is active — a leaf ``kernel`` span attributed to whatever
-    phase span was open when the call ran (see :mod:`repro.obs.spans`).
+    ``perf_counter`` and recorded by :func:`repro.obs.record_kernel`:
+    the stat ``geometry.kernels.<name>``, the ``kernel_seconds`` latency
+    histogram and — when span tracing is active — a leaf ``kernel`` span
+    attributed to whatever phase span was open when the call ran (see
+    :mod:`repro.obs.spans`).
     """
     name = fn.__name__
 
@@ -103,7 +100,7 @@ def _timed(fn):
         try:
             return fn(*args, **kwargs)
         finally:
-            _obs.record_kernel(name, time.perf_counter() - start, _BACKEND)
+            _obs.record_kernel(name, time.perf_counter() - start)
 
     return wrapper
 

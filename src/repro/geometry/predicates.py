@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 from .point import Point
 from .tolerance import DEFAULT_TOLERANCE, Tolerance
@@ -26,7 +26,6 @@ __all__ = [
     "all_collinear",
     "point_on_segment",
     "point_strictly_between",
-    "points_on_open_segment",
     "on_ray",
     "project_parameter",
 ]
@@ -174,16 +173,6 @@ def point_strictly_between(
     return _off_endpoints_on_segment(a, b, p, tol.eps_dist) is True
 
 
-def points_on_open_segment(
-    a: Point,
-    b: Point,
-    points: Iterable[Point],
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> List[Point]:
-    """All input points lying strictly between ``a`` and ``b``."""
-    return [p for p in points if point_strictly_between(a, b, p, tol)]
-
-
 def on_ray(
     origin: Point, through: Point, p: Point, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> bool:
@@ -200,13 +189,3 @@ def on_ray(
         return False
     t = project_parameter(origin, through, p)
     return t > 0.0
-
-
-def points_sorted_along(
-    a: Point, b: Point, points: Sequence[Point]
-) -> List[Point]:
-    """Collinear points sorted by their parameter along the line ``a -> b``."""
-    return sorted(points, key=lambda p: project_parameter(a, b, p))
-
-
-__all__.append("points_sorted_along")

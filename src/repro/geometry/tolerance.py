@@ -63,10 +63,6 @@ class Tolerance:
 
     # -- scalar predicates -------------------------------------------------
 
-    def is_zero(self, value: float) -> bool:
-        """True when ``value`` is indistinguishable from zero as a length."""
-        return abs(value) <= self.eps_dist
-
     def same_length(self, a: float, b: float) -> bool:
         """True when two lengths are indistinguishable."""
         return abs(a - b) <= self.eps_dist
@@ -80,10 +76,6 @@ class Tolerance:
         """
         v = math.fmod(abs(value), _TWO_PI)
         return v <= self.eps_angle or (_TWO_PI - v) <= self.eps_angle
-
-    def same_angle(self, a: float, b: float) -> bool:
-        """True when two angles (radians) denote the same direction."""
-        return self.is_zero_angle(a - b)
 
     # -- quantization helpers ----------------------------------------------
 

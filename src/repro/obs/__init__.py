@@ -17,16 +17,18 @@ events
     :data:`metrics`.
 
 metrics
-    A process-wide registry of counters and running aggregates
-    (:mod:`repro.obs.metrics`).  The batched engine's NumPy kernels
-    record per-kernel call counts and wall time, the Weber
-    solver records Weiszfeld iteration counts and convergence residuals,
-    and the experiment runner records per-worker throughput.
+    A process-wide registry of counters, running aggregates (stats) and
+    fixed-bucket histograms (:mod:`repro.obs.metrics`).  Each call of a
+    batched-engine NumPy kernel is the stat
+    ``geometry.kernels.<name>`` (seconds per call) plus a
+    ``kernel_seconds`` histogram sample (:func:`record_kernel`); the
+    Weber solver records Weiszfeld iteration counts and convergence
+    residuals, and the experiment runner records per-worker throughput.
 
 hooks
-    :func:`~repro.obs.hooks.on_round` / ``on_kernel`` / ``on_run_end``
-    registration (:mod:`repro.obs.hooks`); a hook that raises is warned
-    about once and removed.
+    :func:`~repro.obs.hooks.on_round` / ``on_run_end`` registration
+    (:mod:`repro.obs.hooks`); a hook that raises is warned about once
+    and removed.
 
 spans
     A span tracer (:mod:`repro.obs.spans`): run -> round -> phase
@@ -44,10 +46,12 @@ streams
     trace-export`` read the header tag and dispatch on it.
 
 For sweep-scale runs, :mod:`repro.obs.aggregate` ships each worker's
-registry snapshot and span tail home inside the per-seed result payload
-and merges them — counters, stats, kernel timers and the fixed-bucket
-histograms of :mod:`repro.obs.histogram` — into one ``sweep-metrics``
-document; :mod:`repro.obs.dashboard` renders the merge live.
+registry delta and span tail home inside a result payload — one per
+scalar seed, one per batched chunk — and folds every result through
+``Aggregator.seed_done``: counters, stats and the fixed-bucket
+histograms of :mod:`repro.obs.histogram` merge into one
+``sweep-metrics`` document; :mod:`repro.obs.dashboard` renders the
+merge live.
 
 Layering: from the rest of ``repro`` this package imports only
 ``repro.resilience`` (the error taxonomy and the crash-safe file
@@ -87,10 +91,8 @@ from .events import OBS_SCHEMA, RoundEvent
 from .histogram import Histogram
 from .hooks import (
     clear_hooks,
-    emit_kernel,
     emit_round,
     emit_run_end,
-    on_kernel,
     on_round,
     on_run_end,
     remove_hook,
@@ -104,11 +106,9 @@ from .log import (
 from .log import hub as log_hub
 from .metrics import Metrics, metrics
 from .sink import (
-    Collector,
     ForeignHeaderError,
     JsonlStream,
     Stream,
-    read_events,
     read_stream,
     round_events,
 )
@@ -136,24 +136,20 @@ __all__ = [
     "Metrics",
     "metrics",
     "Histogram",
-    "Collector",
     "JsonlStream",
     "Stream",
     "ForeignHeaderError",
     "read_stream",
     "round_events",
-    "read_events",
     "Span",
     "Tracer",
     "tracer",
     "chrome_trace_events",
     "on_round",
-    "on_kernel",
     "on_run_end",
     "remove_hook",
     "clear_hooks",
     "emit_round",
-    "emit_kernel",
     "emit_run_end",
     "state",
     "is_enabled",
@@ -285,25 +281,21 @@ def record_round(event: RoundEvent, seconds: Optional[float] = None) -> None:
     emit_round(event)
 
 
-def record_kernel(name: str, seconds: float, backend: str) -> None:
-    """Account one kernel call and dispatch kernel hooks.
+def record_kernel(name: str, seconds: float) -> None:
+    """Account one call of geometry kernel ``name``.
 
-    Also bins the latency into the ``kernel_seconds`` histogram and,
-    when tracing is active, records a leaf ``kernel`` span attributed
-    to the innermost open span (the phase that issued the call).
+    The call is the stat ``geometry.kernels.<name>`` (seconds per call),
+    a sample of the ``kernel_seconds`` histogram and, when tracing is
+    active, a leaf ``kernel`` span attributed to the innermost open span
+    (the phase that issued the call).
     """
-    metrics.record_kernel(name, seconds, backend)
+    metrics.observe(f"geometry.kernels.{name}", seconds)
     metrics.observe_hist("kernel_seconds", seconds)
     if tracer.active:
         duration_ns = int(seconds * 1e9)
         tracer.complete(
-            name,
-            "kernel",
-            time.perf_counter_ns() - duration_ns,
-            duration_ns,
-            attrs={"backend": backend},
+            name, "kernel", time.perf_counter_ns() - duration_ns, duration_ns
         )
-    emit_kernel(name, seconds, backend)
 
 
 def record_run_end(summary: dict) -> None:

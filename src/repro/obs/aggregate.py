@@ -5,16 +5,18 @@ hands it to, and each worker accumulates its *own* process-local
 :class:`~repro.obs.metrics.Metrics` registry — none of which the parent
 ever sees.  This module closes that gap without any shared memory or
 side channels: the runner snapshots the worker's registry around each
-seed, attaches the exact **delta** (what this seed contributed) plus the
-seed's span tail to the result object, and the parent folds every
-payload into one :class:`Aggregator`.
+unit of work — a scalar seed, or a batched chunk of seeds — attaches
+the exact **delta** (what the unit contributed) plus its span tail to a
+result object, and the parent folds every result into one
+:class:`Aggregator` through :meth:`Aggregator.seed_done`, the one fold
+``repro sweep --obs`` and ``repro serve``'s ``/metrics`` share.
 
 Why deltas rather than resets: a worker's registry also feeds the
 cumulative ``repro experiment --obs`` display, so the per-seed capture
-must not clear it.  Counters, stat count/total, kernel calls/total and
-histogram buckets subtract exactly; stat min/max are carried from the
-cumulative snapshot (a min over a superset is still a lower bound, so
-the merged bounds stay correct).
+must not clear it.  Counters, stat count/total and histogram buckets
+subtract exactly; stat min/max are carried from the cumulative snapshot
+(a min over a superset is still a lower bound, so the merged bounds stay
+correct).
 
 The merge is associative and order-independent for everything except
 stat min/max (which are still correct bounds), so the aggregate of a
@@ -59,7 +61,8 @@ SWEEP_METRICS_SCHEMA = "repro-sweep-metrics-v1"
 
 
 def capture_before() -> Tuple[dict, int]:
-    """Worker-side capture point taken just before a seed runs.
+    """Worker-side capture point taken just before a seed (or a batched
+    chunk) runs.
 
     Returns ``(registry snapshot, span completion seq)`` — the inputs
     :func:`seed_payload` needs to compute the seed's exact contribution
@@ -71,10 +74,10 @@ def capture_before() -> Tuple[dict, int]:
 def snapshot_delta(after: dict, before: dict) -> dict:
     """The exact contribution between two registry snapshots.
 
-    Counters, stat count/total, kernel calls/total and histogram
-    buckets are monotone, so ``after - before`` is the precise work of
-    the window; entries that did not move are dropped.  Stat min/max
-    come from ``after`` (cumulative — still correct bounds under merge).
+    Counters, stat count/total and histogram buckets are monotone, so
+    ``after - before`` is the precise work of the window; entries that
+    did not move are dropped.  Stat min/max come from ``after``
+    (cumulative — still correct bounds under merge).
     """
     counters = {}
     before_counters = before.get("counters", {})
@@ -96,25 +99,6 @@ def snapshot_delta(after: dict, before: dict) -> dict:
                 "max": stat["max"],
             }
 
-    before_kernels = {
-        (row["kernel"], row["backend"]): row
-        for row in before.get("kernels", [])
-    }
-    kernels = []
-    for row in after.get("kernels", []):
-        prior = before_kernels.get((row["kernel"], row["backend"]))
-        calls = row["calls"] - (prior["calls"] if prior else 0)
-        if calls:
-            kernels.append(
-                {
-                    "kernel": row["kernel"],
-                    "backend": row["backend"],
-                    "calls": calls,
-                    "total_s": row["total_s"]
-                    - (prior["total_s"] if prior else 0.0),
-                }
-            )
-
     hists = {}
     before_hists = before.get("hists", {})
     for name, data in after.get("hists", {}).items():
@@ -125,18 +109,14 @@ def snapshot_delta(after: dict, before: dict) -> dict:
         if hist.count:
             hists[name] = hist.to_dict()
 
-    return {
-        "counters": counters,
-        "stats": stats,
-        "kernels": kernels,
-        "hists": hists,
-    }
+    return {"counters": counters, "stats": stats, "hists": hists}
 
 
 def seed_payload(before: Tuple[dict, int]) -> dict:
-    """The observability payload one finished seed ships home.
+    """The observability payload one finished seed (or batched chunk)
+    ships home.
 
-    ``before`` is the :func:`capture_before` pair taken when the seed
+    ``before`` is the :func:`capture_before` pair taken when the work
     started in this process.  The payload carries the worker pid (so
     the aggregate can report which processes contributed), the exact
     registry delta, and — when tracing is active — the seed's finished
@@ -162,8 +142,6 @@ def namespace_delta(delta: dict, prefix: str) -> dict:
     its endpoint (``serve.run.``, ``serve.sweep.``) keeps per-endpoint
     counters and latency histograms separable in the ``/metrics``
     document without teaching the registry itself about namespaces.
-    Kernel rows keep their kernel/backend identity (they are already a
-    two-level namespace and the bench compares them across contexts).
     """
     if not prefix.endswith("."):
         prefix += "."
@@ -176,7 +154,6 @@ def namespace_delta(delta: dict, prefix: str) -> dict:
             prefix + name: stat
             for name, stat in delta.get("stats", {}).items()
         },
-        "kernels": delta.get("kernels", []),
         "hists": {
             prefix + name: data
             for name, data in delta.get("hists", {}).items()
@@ -192,9 +169,10 @@ class Aggregator:
 
     Fed from two callbacks of the resilient sweep: ``seed_done`` per
     completed seed (payload merge + verdict/round accounting) and
-    ``failure`` per failed attempt (retry/timeout accounting).  All
-    fields are parent-process state; nothing here is shared with
-    workers.
+    ``failure`` per failed attempt (retry/timeout accounting).  ``repro
+    serve`` feeds its ``/metrics`` aggregate through the same
+    ``seed_done``.  All fields are parent-process state; nothing here
+    is shared with workers.
     """
 
     def __init__(self, total_seeds: int = 0) -> None:
@@ -208,15 +186,21 @@ class Aggregator:
         self.workers: set = set()
         self.counters: Dict[str, int] = {}
         self.stats: Dict[str, dict] = {}
-        self.kernels: Dict[Tuple[str, str], dict] = {}
         self.hists: Dict[str, Histogram] = {}
         self.span_count = 0
         self.started = time.monotonic()
 
     # -- feeding -----------------------------------------------------------
 
-    def seed_done(self, seed: int, result) -> None:
-        """Account one completed seed (journal-resumed or fresh)."""
+    def seed_done(self, result, prefix: str = "") -> None:
+        """Account one completed seed (journal-resumed or fresh).
+
+        A fresh result carries its obs payload: a scalar seed's own
+        delta, or, for a batched chunk, the chunk's whole delta on its
+        first result and a pid-only empty one on the others.  ``prefix``
+        (``repro serve``'s endpoint namespace) renames every metric of
+        the delta (:func:`namespace_delta`).
+        """
         self.done += 1
         self.rounds += result.rounds
         self.verdicts[result.verdict] = (
@@ -230,7 +214,10 @@ class Aggregator:
             return
         self.workers.add(payload.get("pid"))
         self.span_count += len(payload.get("spans", ()))
-        self.add_metrics(payload.get("metrics", {}))
+        delta = payload.get("metrics", {})
+        if prefix:
+            delta = namespace_delta(delta, prefix)
+        self.add_metrics(delta)
 
     def failure(self, key: str, exc: BaseException, strike: bool) -> None:
         """Account one failed attempt (the item will be retried unless
@@ -252,17 +239,6 @@ class Aggregator:
                 into["total"] += stat["total"]
                 into["min"] = min(into["min"], stat["min"])
                 into["max"] = max(into["max"], stat["max"])
-        for row in delta.get("kernels", []):
-            key = (row["kernel"], row["backend"])
-            into = self.kernels.get(key)
-            if into is None:
-                self.kernels[key] = {
-                    "calls": row["calls"],
-                    "total_s": row["total_s"],
-                }
-            else:
-                into["calls"] += row["calls"]
-                into["total_s"] += row["total_s"]
         for name, data in delta.get("hists", {}).items():
             hist = Histogram.from_dict(data)
             into = self.hists.get(name)
@@ -299,17 +275,6 @@ class Aggregator:
 
     def to_dict(self) -> dict:
         """The JSON-ready ``repro-sweep-metrics-v1`` document."""
-        kernel_rows = [
-            {
-                "kernel": kernel,
-                "backend": backend,
-                "calls": row["calls"],
-                "total_s": row["total_s"],
-                "mean_s": row["total_s"] / row["calls"],
-            }
-            for (kernel, backend), row in self.kernels.items()
-        ]
-        kernel_rows.sort(key=lambda row: row["total_s"], reverse=True)
         hists = {}
         for name, hist in self.hists.items():
             data = hist.to_dict()
@@ -345,7 +310,6 @@ class Aggregator:
             "elapsed_s": self.elapsed(),
             "counters": dict(sorted(self.counters.items())),
             "stats": stats,
-            "kernels": kernel_rows,
             "hists": hists,
         }
 

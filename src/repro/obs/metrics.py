@@ -5,10 +5,9 @@ One :class:`Metrics` registry per process (:data:`metrics`), holding
 * **counters** — monotonically increasing integers (`inc`), e.g.
   ``rounds.class.A`` or ``runs.verdict.gathered``;
 * **stats** — running aggregates of observed values (`observe`):
-  count / total / min / max, e.g. ``weber.iterations`` or
-  ``runner.run_seconds``;
-* **kernel timers** — per ``(kernel, backend)`` call counts and summed
-  wall time (`record_kernel`), fed by the instrumented geometry kernels;
+  count / total / min / max, e.g. ``weber.iterations``,
+  ``runner.run_seconds`` or ``geometry.kernels.distance_sums`` (seconds
+  per call of a batched-engine kernel);
 * **histograms** — fixed log-spaced latency distributions (`observe_hist`),
   e.g. ``round_seconds`` and ``kernel_seconds``.  Because every process
   bins into the same boundaries (:mod:`repro.obs.histogram`), the
@@ -16,14 +15,16 @@ One :class:`Metrics` registry per process (:data:`metrics`), holding
 
 Everything is plain dictionaries updated in-line: recording one value is
 a couple of dict operations, cheap enough to sit inside instrumented
-kernels.  The registry is process-local by design — worker processes of
-a parallel sweep each accumulate their own view, and the runner folds
-what matters (per-worker throughput) into result-independent summaries.
+kernels.  A timing is an ordinary stat (seconds per call), so the sweep
+aggregate merges it like any other.  The registry is process-local by
+design — worker processes of a parallel sweep each accumulate their own
+view, and the runner folds what matters (per-worker throughput) into
+result-independent summaries.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from .histogram import Histogram
 
@@ -64,12 +65,11 @@ class Stat:
 
 
 class Metrics:
-    """A registry of counters, stats, and kernel timers."""
+    """A registry of counters, stats and histograms."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, int] = {}
         self._stats: Dict[str, Stat] = {}
-        self._kernels: Dict[Tuple[str, str], Stat] = {}
         self._hists: Dict[str, Histogram] = {}
 
     # -- recording -----------------------------------------------------------
@@ -84,14 +84,6 @@ class Metrics:
         if stat is None:
             stat = self._stats[name] = Stat()
         stat.add(value)
-
-    def record_kernel(self, name: str, seconds: float, backend: str) -> None:
-        """Account one call of kernel ``name`` on ``backend``."""
-        key = (name, backend)
-        stat = self._kernels.get(key)
-        if stat is None:
-            stat = self._kernels[key] = Stat()
-        stat.add(seconds)
 
     def observe_hist(self, name: str, value: float) -> None:
         """Bin ``value`` into the fixed log-spaced histogram ``name``."""
@@ -112,21 +104,6 @@ class Metrics:
     def stats(self) -> Dict[str, Stat]:
         return dict(self._stats)
 
-    def kernels(self) -> List[dict]:
-        """Kernel timer rows sorted by total time, descending."""
-        rows = [
-            {
-                "kernel": name,
-                "backend": backend,
-                "calls": stat.count,
-                "total_s": stat.total,
-                "mean_s": stat.mean,
-            }
-            for (name, backend), stat in self._kernels.items()
-        ]
-        rows.sort(key=lambda row: row["total_s"], reverse=True)
-        return rows
-
     def hists(self) -> Dict[str, Histogram]:
         return dict(self._hists)
 
@@ -135,7 +112,6 @@ class Metrics:
         return {
             "counters": dict(self._counters),
             "stats": {name: s.to_dict() for name, s in self._stats.items()},
-            "kernels": self.kernels(),
             "hists": {name: h.to_dict() for name, h in self._hists.items()},
         }
 
@@ -143,7 +119,6 @@ class Metrics:
         """Drop everything (profiling sessions start from zero)."""
         self._counters.clear()
         self._stats.clear()
-        self._kernels.clear()
         self._hists.clear()
 
 

@@ -32,7 +32,7 @@ not a caller's flag:
   per line, so it can be tailed while the process runs.
 
 :class:`JsonlStream` writes all three; :func:`read_stream` reads all
-three with one rule for a bad line; :func:`read_events` builds the
+three with one rule for a bad line; :func:`round_events` builds the
 :class:`~repro.obs.events.RoundEvent` objects of an event stream.
 """
 
@@ -54,13 +54,11 @@ from .spans import SPANS_SCHEMA
 
 __all__ = [
     "SCHEMAS",
-    "Collector",
     "JsonlStream",
     "Stream",
     "ForeignHeaderError",
     "read_stream",
     "round_events",
-    "read_events",
 ]
 
 #: Every telemetry schema -> (what one record is, is the stream live?).
@@ -71,27 +69,6 @@ SCHEMAS: Dict[str, Tuple[str, bool]] = {
     SPANS_SCHEMA: ("span", False),
     LOG_SCHEMA: ("log", True),
 }
-
-
-class Collector:
-    """In-memory ``on_round`` hook: keeps events and per-class counts.
-
-    The CLI ``profile`` command registers one to turn the event stream
-    into the per-class round-count table without a file in between.
-    """
-
-    def __init__(self) -> None:
-        self.events: List[RoundEvent] = []
-        self.class_counts: Dict[str, int] = {}
-
-    def __call__(self, event: RoundEvent) -> None:
-        self.events.append(event)
-        self.class_counts[event.config_class] = (
-            self.class_counts.get(event.config_class, 0) + 1
-        )
-
-    def __len__(self) -> int:
-        return len(self.events)
 
 
 class JsonlStream:
@@ -288,17 +265,3 @@ def round_events(stream: Stream) -> Tuple[List[RoundEvent], List[dict]]:
                 line=line_no,
             ) from exc
     return events, run_ends
-
-
-def read_events(
-    path: str,
-) -> Tuple[Optional[dict], List[RoundEvent], List[dict]]:
-    """Read a JSONL event stream: ``(meta, events, run_end_summaries)``.
-
-    A missing or foreign header is a plain :class:`ValueError`; a
-    corrupted or malformed line is a
-    :class:`~repro.resilience.errors.TraceFormatError` with its line.
-    """
-    stream = read_stream(path)
-    events, run_ends = round_events(stream)
-    return stream.meta, events, run_ends

@@ -146,12 +146,12 @@ class Tracer:
         self._emit(span)
         return span
 
-    def complete(self, name: str, kind: str, start_ns: int, duration_ns: int,
-                 attrs: Optional[dict] = None) -> Span:
+    def complete(self, name: str, kind: str, start_ns: int,
+                 duration_ns: int) -> Span:
         """Record an already-finished leaf span (kernel attribution:
         the timing wrapper only knows the duration after the call)."""
         parent = self._stack[-1].span_id if self._stack else None
-        span = Span(self._next_id, parent, name, kind, start_ns, attrs)
+        span = Span(self._next_id, parent, name, kind, start_ns)
         self._next_id += 1
         span.duration_ns = duration_ns
         self._emit(span)

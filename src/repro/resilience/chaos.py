@@ -146,25 +146,6 @@ class ChaosPolicy:
                 ) from exc
         return cls(**values)
 
-    def to_spec(self) -> str:
-        """Inverse of :meth:`parse` (for re-exporting into child envs)."""
-        parts = [f"seed={self.seed}"]
-        for name in ("kill", "error", "delay"):
-            value = getattr(self, name)
-            if value:
-                parts.append(f"{name}={value}")
-        if self.delay:
-            parts.append(f"delay_s={self.delay_s}")
-        for name in ("serve_slow", "store_read", "store_write"):
-            value = getattr(self, name)
-            if value:
-                parts.append(f"{name}={value}")
-        if self.serve_slow:
-            parts.append(f"serve_slow_s={self.serve_slow_s}")
-        if self.match:
-            parts.append(f"match={self.match}")
-        return ",".join(parts)
-
     # -- decisions ---------------------------------------------------------
 
     def _uniform(self, key: str, attempt: int) -> float:

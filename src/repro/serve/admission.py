@@ -105,7 +105,6 @@ class AdmissionController:
         self.max_inflight = max_inflight
         self.sweep_weight = sweep_weight
         self._inflight = 0
-        self._requests = 0
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
 
@@ -116,11 +115,6 @@ class AdmissionController:
     def inflight(self) -> int:
         with self._lock:
             return self._inflight
-
-    @property
-    def active_requests(self) -> int:
-        with self._lock:
-            return self._requests
 
     def acquire(self, weight: int, *, endpoint: str = "request") -> None:
         """Take ``weight`` units or raise the taxonomy's 429 *now*.
@@ -145,12 +139,10 @@ class AdmissionController:
                     retry_after_s=1.0,
                 )
             self._inflight += weight
-            self._requests += 1
 
     def release(self, weight: int) -> None:
         with self._lock:
             self._inflight = max(0, self._inflight - weight)
-            self._requests = max(0, self._requests - 1)
             if self._inflight == 0:
                 self._idle.notify_all()
 

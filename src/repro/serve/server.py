@@ -73,7 +73,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import __version__
 from .. import obs as _obs
 from ..experiments.runner import Scenario, run_scenario, executor
-from ..obs.aggregate import Aggregator, namespace_delta
+from ..obs.aggregate import Aggregator
 from ..obs.histogram import Histogram
 from ..obs.log import LOG_SCHEMA, get_logger
 from ..obs.log import hub as log_hub
@@ -625,18 +625,7 @@ class ReproServer:
         with self._account_lock:
             for result in results:
                 agg.total_seeds += 1
-                agg.done += 1
-                agg.rounds += result.rounds
-                agg.verdicts[result.verdict] = (
-                    agg.verdicts.get(result.verdict, 0) + 1
-                )
-                payload = getattr(result, "obs", None)
-                if payload is not None:
-                    agg.workers.add(payload.get("pid"))
-                    agg.span_count += len(payload.get("spans", ()))
-                    agg.add_metrics(
-                        namespace_delta(payload.get("metrics", {}), prefix)
-                    )
+                agg.seed_done(result, prefix)
 
     # -- request accounting ------------------------------------------------
 

@@ -294,11 +294,6 @@ class Trace:
         """The sequence of configuration classes traversed."""
         return [r.config_class for r in self.records]
 
-    def class_transitions(self) -> List[Tuple[ConfigClass, ConfigClass]]:
-        """Consecutive (before, after) class pairs, for Lemmas 5.3-5.9."""
-        classes = self.class_sequence()
-        return list(zip(classes, classes[1:]))
-
     def render(self, limit: Optional[int] = 50) -> str:
         """Human-readable transcript (truncated to ``limit`` rounds)."""
         rows = [r.summary() for r in self.records[: limit or None]]

@@ -2,7 +2,7 @@
 
 import math
 
-from repro.analysis import mean, median, stddev, wilson_interval
+from repro.analysis import mean, median
 
 
 class TestDescriptive:
@@ -14,32 +14,3 @@ class TestDescriptive:
         assert median([3.0, 1.0, 2.0]) == 2.0
         assert median([4.0, 1.0, 2.0, 3.0]) == 2.5
         assert math.isnan(median([]))
-
-    def test_stddev(self):
-        assert math.isclose(stddev([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]),
-                            2.138089935299395)
-        assert math.isnan(stddev([1.0]))
-
-
-class TestWilson:
-    def test_degenerate_trials(self):
-        assert wilson_interval(0, 0) == (0.0, 1.0)
-
-    def test_contains_point_estimate(self):
-        lo, hi = wilson_interval(15, 30)
-        assert lo < 0.5 < hi
-
-    def test_all_successes_interval_below_one_is_open(self):
-        lo, hi = wilson_interval(30, 30)
-        assert hi == 1.0
-        assert 0.8 < lo < 1.0  # does not collapse to [1, 1]
-
-    def test_zero_successes(self):
-        lo, hi = wilson_interval(0, 30)
-        assert lo == 0.0
-        assert 0.0 < hi < 0.2
-
-    def test_monotone_in_trials(self):
-        _, hi_small = wilson_interval(5, 10)
-        _, hi_large = wilson_interval(50, 100)
-        assert hi_large < hi_small  # more data, tighter interval

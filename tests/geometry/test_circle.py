@@ -17,11 +17,6 @@ class TestCircle:
         assert c.contains(Point(1.0, 0.0))  # boundary included
         assert not c.contains(Point(1.1, 0.0))
 
-    def test_on_boundary(self):
-        c = Circle(Point(0, 0), 1.0)
-        assert c.on_boundary(Point(0, 1))
-        assert not c.on_boundary(Point(0, 0.5))
-
 
 class TestCircumcircle:
     def test_right_triangle(self):

@@ -11,8 +11,6 @@ from repro.geometry import (
     orientation,
     point_on_segment,
     point_strictly_between,
-    points_on_open_segment,
-    points_sorted_along,
     project_parameter,
 )
 
@@ -99,19 +97,6 @@ class TestSegments:
         assert point_strictly_between(A, B, Point(2, 0))
         assert not point_strictly_between(A, B, A)
         assert not point_strictly_between(A, B, B)
-
-    def test_points_on_open_segment_filters(self):
-        pts = [A, Point(1, 0), Point(2, 1), Point(3, 0), B, Point(9, 0)]
-        inside = points_on_open_segment(A, B, pts)
-        assert inside == [Point(1, 0), Point(3, 0)]
-
-    def test_points_sorted_along(self):
-        pts = [Point(3, 0), Point(1, 0), Point(2, 0)]
-        assert points_sorted_along(A, B, pts) == [
-            Point(1, 0),
-            Point(2, 0),
-            Point(3, 0),
-        ]
 
 
 class TestRays:

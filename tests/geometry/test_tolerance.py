@@ -28,11 +28,6 @@ class TestValidation:
 
 
 class TestScalarPredicates:
-    def test_is_zero_band(self, tol):
-        assert tol.is_zero(0.0)
-        assert tol.is_zero(tol.eps_dist)
-        assert not tol.is_zero(2 * tol.eps_dist)
-
     def test_same_length(self, tol):
         assert tol.same_length(1.0, 1.0 + tol.eps_dist / 2)
         assert not tol.same_length(1.0, 1.0 + 3 * tol.eps_dist)
@@ -43,11 +38,6 @@ class TestScalarPredicates:
         assert tol.is_zero_angle(2 * math.pi - tol.eps_angle / 2)
         assert tol.is_zero_angle(-2 * math.pi)
         assert not tol.is_zero_angle(math.pi)
-
-    def test_same_angle_across_wrap(self, tol):
-        assert tol.same_angle(0.0, 2 * math.pi)
-        assert tol.same_angle(0.1, 0.1 + 2 * math.pi)
-        assert not tol.same_angle(0.0, 0.1)
 
 
 class TestQuantization:

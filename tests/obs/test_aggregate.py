@@ -46,20 +46,6 @@ class TestSnapshotDelta:
             "x": {"count": 3, "total": 9.0, "min": 0.5, "max": 6.0}
         }
 
-    def test_kernels_subtract_per_backend(self):
-        before = {"kernels": [
-            {"kernel": "k", "backend": "numpy", "calls": 10, "total_s": 1.0},
-        ]}
-        after = {"kernels": [
-            {"kernel": "k", "backend": "numpy", "calls": 14, "total_s": 1.5},
-            {"kernel": "k", "backend": "python", "calls": 2, "total_s": 0.2},
-        ]}
-        delta = snapshot_delta(after, before)
-        assert delta["kernels"] == [
-            {"kernel": "k", "backend": "numpy", "calls": 4, "total_s": 0.5},
-            {"kernel": "k", "backend": "python", "calls": 2, "total_s": 0.2},
-        ]
-
     def test_hists_delta_by_bucket(self):
         hist = Histogram()
         hist.add(1e-3)
@@ -112,7 +98,7 @@ class _FakeResult:
 class TestAggregator:
     def test_resumed_seed_counts_without_payload(self):
         agg = Aggregator(total_seeds=2)
-        agg.seed_done(0, _FakeResult(rounds=4, obs_payload=None))
+        agg.seed_done(_FakeResult(rounds=4, obs_payload=None))
         assert (agg.done, agg.resumed, agg.rounds) == (1, 1, 4)
         assert agg.verdicts == {"gathered": 1}
 
@@ -123,18 +109,19 @@ class TestAggregator:
         assert (agg.retries, agg.timeouts) == (2, 1)
 
     def test_merge_is_order_independent(self):
+        kernel = "geometry.kernels.distance_sums"
         payload_a = {"counters": {"rounds.class.W1": 3},
                      "stats": {"s": {"count": 1, "total": 2.0,
-                                     "min": 2.0, "max": 2.0}},
-                     "kernels": [{"kernel": "k", "backend": "numpy",
-                                  "calls": 1, "total_s": 0.5}],
+                                     "min": 2.0, "max": 2.0},
+                               kernel: {"count": 1, "total": 0.5,
+                                        "min": 0.5, "max": 0.5}},
                      "hists": {}}
         payload_b = {"counters": {"rounds.class.W1": 2,
                                   "rounds.class.W3": 1},
                      "stats": {"s": {"count": 2, "total": 10.0,
-                                     "min": 4.0, "max": 6.0}},
-                     "kernels": [{"kernel": "k", "backend": "numpy",
-                                  "calls": 3, "total_s": 1.5}],
+                                     "min": 4.0, "max": 6.0},
+                               kernel: {"count": 3, "total": 1.5,
+                                        "min": 0.25, "max": 1.0}},
                      "hists": {}}
         forward, backward = Aggregator(), Aggregator()
         forward.add_metrics(payload_a)
@@ -143,12 +130,13 @@ class TestAggregator:
         backward.add_metrics(payload_a)
         assert forward.counters == backward.counters
         assert forward.stats == backward.stats
-        assert forward.kernels == backward.kernels
+        assert forward.stats[kernel] == {"count": 4, "total": 2.0,
+                                         "min": 0.25, "max": 1.0}
         assert forward.class_rounds() == {"W1": 5, "W3": 1}
 
     def test_to_dict_document_shape(self):
         agg = Aggregator(total_seeds=3)
-        agg.seed_done(0, _FakeResult(obs_payload={
+        agg.seed_done(_FakeResult(obs_payload={
             "pid": 1234,
             "metrics": {"counters": {"rounds.total": 10,
                                      "rounds.class.W1": 10}},
@@ -171,7 +159,7 @@ class TestSweepAggregation:
         return run_batch(
             SMALL,
             self.SEEDS,
-            on_seed_result=aggregator.seed_done,
+            on_seed_result=lambda seed, result: aggregator.seed_done(result),
             on_failure=aggregator.failure,
             **kwargs,
         )
@@ -221,7 +209,7 @@ class TestSweepAggregation:
             SMALL,
             list(range(8)),
             workers=4,
-            on_seed_result=agg.seed_done,
+            on_seed_result=lambda seed, result: agg.seed_done(result),
             on_failure=agg.failure,
         )
         assert agg.done == 8

@@ -76,6 +76,48 @@ class TestSweepMetrics:
         )
         assert document["span_count"] > 0
 
+    @pytest.mark.parametrize(
+        "workers", [[], ["--workers", "2"]], ids=["serial", "workers-2"]
+    )
+    def test_batched_sweep_ships_its_telemetry(self, tmp_path, workers):
+        # Each batched chunk is one capture window; its delta rides on
+        # the chunk's first result, so every fresh seed counts as done.
+        journal = str(tmp_path / "sweep.journal.jsonl")
+        metrics_path = str(tmp_path / "sweep-metrics.json")
+        argv = [
+            "sweep", "--workload", "random", "--n", "16", "--f", "4",
+            "--seeds", "32", "--engine", "batched", "--obs",
+            "--journal", journal, *workers,
+        ]
+        assert main(argv) == 0
+        with open(metrics_path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+        assert document["seeds"]["done"] == 32
+        assert document["seeds"]["resumed"] == 0
+        by_class = document["rounds"]["by_class"]
+        assert by_class
+        assert sum(by_class.values()) == document["rounds"]["total"]
+        assert document["counters"]["runner.runs"] == 32
+        assert {
+            f"geometry.kernels.{name}"
+            for name in ("batched_max_ray_loads", "batched_polar_views",
+                         "batched_weiszfeld", "distance_sums")
+        } <= set(document["stats"])
+        if workers:
+            assert document["workers"]
+            assert os.getpid() not in document["workers"]
+        else:
+            assert document["workers"] == [os.getpid()]
+
+        # A resume onto the finished journal runs nothing: every seed
+        # is journaled, so every seed counts as resumed.
+        assert main(argv + ["--resume"]) == 0
+        with open(metrics_path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+        assert document["seeds"]["done"] == 32
+        assert document["seeds"]["resumed"] == 32
+        assert document["workers"] == []
+
     def test_metrics_flag_picks_the_path(self, tmp_path):
         target = str(tmp_path / "elsewhere" / "m.json")
         os.makedirs(os.path.dirname(target))
@@ -136,6 +178,30 @@ class TestTraceExport:
         assert main(["trace-export", trace_path, "-o", out_path]) == 0
         assert "trace archive" in capsys.readouterr().out
         _assert_chrome_shape(out_path)
+
+    def test_event_stream_and_archive_export_the_same_rounds(self, tmp_path):
+        # One run, recorded both ways: both go through RoundEvent, so
+        # the synthetic timelines carry the same per-round args.
+        events_path = str(tmp_path / "run.obs.jsonl")
+        trace_path = str(tmp_path / "run.trace.json")
+        main([
+            "simulate", "--workload", "asymmetric", "--n", "6",
+            "--seed", "1", "--obs-jsonl", events_path,
+            "--save-trace", trace_path,
+        ])
+        rounds = []
+        for path in (events_path, trace_path):
+            out_path = path + ".perfetto.json"
+            assert main(["trace-export", path, "-o", out_path]) == 0
+            document = _assert_chrome_shape(out_path)
+            rounds.append([
+                e["args"] for e in document["traceEvents"] if e["ph"] == "X"
+            ])
+        assert rounds[0] and rounds[0] == rounds[1]
+        assert set(rounds[0][0]) == {
+            "round", "config_class", "support", "spread",
+            "active", "crashed", "moved",
+        }
 
     @pytest.mark.parametrize("name", sorted(os.listdir(CORPUS)))
     def test_committed_corpus_trace_exports(self, tmp_path, capsys, name):

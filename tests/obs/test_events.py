@@ -7,7 +7,7 @@ import pytest
 from repro import obs
 from repro.experiments.runner import Scenario, run_scenario
 from repro.geometry import DEFAULT_TOLERANCE
-from repro.obs import OBS_SCHEMA, Collector, RoundEvent, read_events
+from repro.obs import OBS_SCHEMA, RoundEvent, read_stream, round_events
 from repro.sim.trace import TraceMeta
 
 #: Fully deterministic components: the run is bitwise identical
@@ -74,15 +74,17 @@ class TestDictRoundTrip:
 class TestJsonlStream:
     def test_stream_round_trips_and_joins_to_trace_meta(self, tmp_path):
         path = str(tmp_path / "events.jsonl")
-        collector = Collector()
-        obs.on_round(collector)
+        collected = []
+        obs.on_round(collected.append)
         with obs.observability(jsonl=path, meta=scenario_meta(SMALL, 3)):
             result = run_scenario(SMALL, 3, record_trace=True)
 
-        meta, events, run_ends = read_events(path)
+        stream = read_stream(path)
+        meta = stream.meta
+        events, run_ends = round_events(stream)
         # One event per recorded round, bit-exact through JSON.
-        assert len(events) == len(result.trace) == len(collector.events)
-        assert events == collector.events
+        assert len(events) == len(result.trace) == len(collected)
+        assert events == collected
         # The header meta is the trace's meta: the streams join on
         # seed and scenario.
         trace_meta = result.trace.meta
@@ -98,7 +100,7 @@ class TestJsonlStream:
         path = str(tmp_path / "events.jsonl")
         with obs.observability(jsonl=path):
             result = run_scenario(SMALL, 3, record_trace=True)
-        _, events, _ = read_events(path)
+        events, _ = round_events(read_stream(path))
         for event, record in zip(events, result.trace.records):
             assert event.round_index == record.round_index
             assert event.config_class == record.config_class.value
@@ -119,7 +121,7 @@ class TestJsonlStream:
         path = tmp_path / "not-events.jsonl"
         path.write_text('{"format": "something-else"}\n')
         with pytest.raises(ValueError):
-            read_events(str(path))
+            read_stream(str(path))
 
     def test_async_engine_events_tagged(self, tmp_path):
         path = str(tmp_path / "events.jsonl")
@@ -135,8 +137,9 @@ class TestJsonlStream:
         )
         with obs.observability(jsonl=path, meta=scenario_meta(scenario, 3)):
             result = run_scenario(scenario, 3)
-        meta, events, run_ends = read_events(path)
-        assert meta["engine"] == "async"
+        stream = read_stream(path)
+        events, run_ends = round_events(stream)
+        assert stream.meta["engine"] == "async"
         assert events and all(e.engine == "async" for e in events)
         assert len(events) == result.rounds
         assert run_ends[0]["engine"] == "async"

@@ -4,7 +4,7 @@ import pytest
 
 from repro import obs
 from repro.experiments.runner import Scenario, run_scenario
-from repro.obs.hooks import emit_kernel, emit_round, emit_run_end
+from repro.obs.hooks import emit_round, emit_run_end
 
 
 def _boom(*args):
@@ -40,15 +40,17 @@ class TestQuarantine:
         assert seen == ["first", "second"]
 
     def test_quarantine_covers_every_hook_point(self, log_records):
+        seen = []
         obs.on_round(_boom)
-        obs.on_kernel(_boom)
         obs.on_run_end(_boom)
+        obs.on_run_end(seen.append)
         emit_round("event")
         assert len(_quarantine_records(log_records)) == 1
-        # Already-quarantined at the other points too: no second warning.
-        emit_kernel("k", 0.1, "python")
+        # Already-quarantined at the other point too: no second warning,
+        # and the healthy run-end hook still fires.
         emit_run_end({})
         assert len(_quarantine_records(log_records)) == 1
+        assert seen == [{}]
 
     def test_base_exceptions_still_propagate(self):
         def interrupt(event):

@@ -1,4 +1,4 @@
-"""Counters, stats, kernel timers, hooks, and the process-wide toggle."""
+"""Counters, stats, kernel timings, hooks, and the process-wide toggle."""
 
 import os
 
@@ -41,26 +41,15 @@ class TestMetricsRegistry:
         assert snapshot["counters"]["a"] == 3
         assert snapshot["stats"]["latency"]["mean"] == 1.0
 
-    def test_kernel_rows_sorted_by_total_time(self):
-        registry = Metrics()
-        registry.record_kernel("cheap", 0.001, "numpy")
-        registry.record_kernel("hot", 0.5, "numpy")
-        registry.record_kernel("hot", 0.5, "numpy")
-        rows = registry.kernels()
-        assert [row["kernel"] for row in rows] == ["hot", "cheap"]
-        assert rows[0]["calls"] == 2
-        assert rows[0]["total_s"] == 1.0
-
     def test_reset_drops_everything(self):
         registry = Metrics()
         registry.inc("a")
         registry.observe("s", 1.0)
-        registry.record_kernel("k", 0.1, "numpy")
+        registry.observe_hist("h", 0.1)
         registry.reset()
         assert registry.snapshot() == {
             "counters": {},
             "stats": {},
-            "kernels": [],
             "hists": {},
         }
 
@@ -93,26 +82,32 @@ class TestKernelInstrumentation:
         coords = [(0.0, 0.0), (3.0, 4.0)]
         obs.enable()
         assert kernels.distance_sums(coords, coords) == [5.0, 5.0]
-        rows = obs.metrics.kernels()
-        assert any(
-            row["kernel"] == "distance_sums" and row["backend"] == "numpy"
-            for row in rows
-        )
+        stat = obs.metrics.stats()["geometry.kernels.distance_sums"]
+        assert stat.count == 1
+        assert stat.total >= 0.0
+        assert obs.metrics.hists()["kernel_seconds"].count == 1
 
     @needs_numpy
     def test_disabled_kernels_record_nothing(self):
         coords = [(0.0, 0.0), (3.0, 4.0)]
         assert kernels.distance_sums(coords, coords) == [5.0, 5.0]
-        assert obs.metrics.kernels() == []
+        assert obs.metrics.snapshot() == {
+            "counters": {},
+            "stats": {},
+            "hists": {},
+        }
 
     @needs_numpy
-    def test_on_kernel_hook_sees_calls(self):
-        seen = []
-        obs.on_kernel(lambda name, seconds, backend: seen.append(name))
-        coords = [(0.0, 0.0), (1.0, 0.0)]
+    def test_kernel_call_is_a_leaf_span_of_the_open_phase(self):
         obs.enable()
+        phase = obs.tracer.begin("compute", "phase")
+        coords = [(0.0, 0.0), (1.0, 0.0)]
         kernels.distance_sums(coords, coords)
-        assert "distance_sums" in seen
+        obs.tracer.end(phase)
+        leaves = [s for s in obs.tracer.tail() if s.kind == "kernel"]
+        assert [s.name for s in leaves] == ["distance_sums"]
+        assert leaves[0].parent_id == phase.span_id
+        assert leaves[0].attrs is None
 
 
 class TestHooks:

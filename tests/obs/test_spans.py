@@ -42,8 +42,7 @@ class TestTracer:
     def test_complete_attributes_to_open_span(self):
         tracer = Tracer()
         phase = tracer.begin("compute", "phase")
-        leaf = tracer.complete("pairwise_diameter", "kernel", 100, 50,
-                               attrs={"backend": "numpy"})
+        leaf = tracer.complete("pairwise_diameter", "kernel", 100, 50)
         assert leaf.parent_id == phase.span_id
         assert leaf.duration_ns == 50
         tracer.end(phase)

@@ -10,8 +10,6 @@ from repro.geometry import (
     Frame,
     Point,
     clockwise_angle,
-    convex_hull,
-    in_convex_hull,
     normalize_angle,
     rotate_clockwise,
     smallest_enclosing_circle,
@@ -75,18 +73,6 @@ def test_sec_radius_at_most_diameter_bound(pts):
         (a.distance_to(b) for a in pts for b in pts), default=0.0
     )
     assert circle.radius <= diameter / math.sqrt(3.0) + 1e-7
-
-
-@given(point_lists)
-def test_hull_contains_all_points(pts):
-    for p in pts:
-        assert in_convex_hull(p, pts)
-
-
-@given(point_lists)
-def test_hull_vertices_are_input_points(pts):
-    hull = convex_hull(pts)
-    assert all(h in pts for h in hull)
 
 
 @given(

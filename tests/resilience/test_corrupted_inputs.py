@@ -14,7 +14,7 @@ import pytest
 from repro import cli
 from repro.bench import HISTORY_SCHEMA, load_history
 from repro.experiments.runner import Scenario, run_scenario
-from repro.obs import read_events
+from repro.obs import read_stream, round_events
 from repro.resilience import ReproError, TraceFormatError
 from repro.sim.replay import load_trace
 
@@ -120,7 +120,7 @@ class TestObsLoader:
         path = tmp_path / "events.jsonl"
         path.write_text(self.HEADER + '\n{"round_index": 0, "eng\n')
         with pytest.raises(TraceFormatError) as info:
-            read_events(str(path))
+            round_events(read_stream(str(path)))
         assert info.value.line == 2
         assert "undecodable" in str(info.value)
 
@@ -128,13 +128,13 @@ class TestObsLoader:
         path = tmp_path / "events.jsonl"
         path.write_text(self.HEADER + '\n{"not_an_event": true}\n')
         with pytest.raises(TraceFormatError, match="line 2"):
-            read_events(str(path))
+            round_events(read_stream(str(path)))
 
     def test_non_object_line_rejected(self, tmp_path):
         path = tmp_path / "events.jsonl"
         path.write_text(self.HEADER + "\n[1, 2, 3]\n")
         with pytest.raises(TraceFormatError, match="not an object"):
-            read_events(str(path))
+            round_events(read_stream(str(path)))
 
     def test_wrong_header_stays_plain_value_error(self, tmp_path):
         # The stats command relies on a header mismatch being a
@@ -142,7 +142,7 @@ class TestObsLoader:
         path = tmp_path / "events.jsonl"
         path.write_text('{"format": "other"}\n')
         with pytest.raises(ValueError):
-            read_events(str(path))
+            round_events(read_stream(str(path)))
 
 
 class TestCliSurface:

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.cli import main
 from repro.experiments.runner import Scenario, run_batch, run_scenario
 from repro.resilience import TraceFormatError
 from repro.sim import Trace
@@ -128,6 +129,29 @@ class TestArchiveCorpus:
         for name in archived:
             report = replay_trace(load_trace(os.path.join(corpus, name)))
             assert report.ok, report.describe()
+
+    @pytest.mark.usefixtures("numpy")
+    def test_batched_archive_replays_the_batched_computation(self, tmp_path):
+        # The batched engine computes in the global frame.  On seed 3196
+        # of this sweep the scalar engine with random frames ends
+        # differently (18 rounds, crashed ids (11, 13)); the archive must
+        # record the run the batched engine made.
+        corpus = str(tmp_path / "corpus")
+        scenario = Scenario(workload="random", n=16, f=4, engine="batched")
+        [batched] = run_batch(
+            scenario, [3196], archive_dir=corpus, archive_if=lambda r: True
+        )
+        assert (batched.rounds, batched.crashed_ids) == (16, (13,))
+        [name] = os.listdir(corpus)
+        path = os.path.join(corpus, name)
+        trace = load_trace(path)
+        assert trace.meta.scenario["frames"] == "identity"
+        assert trace.meta.scenario["engine"] == "atom"
+        assert len(trace) == batched.rounds
+        assert main(["check", "--replay", path]) == 0
+        rerun = run_scenario(Scenario.from_dict(trace.meta.scenario), 3196)
+        assert rerun.rounds == batched.rounds
+        assert rerun.crashed_ids == batched.crashed_ids
 
     def test_gathered_seeds_not_archived(self, tmp_path):
         corpus = str(tmp_path / "corpus")

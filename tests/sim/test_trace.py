@@ -26,7 +26,7 @@ class TestTrace:
         t.append(_record(1))
         assert len(t) == 2
 
-    def test_class_sequence_and_transitions(self):
+    def test_class_sequence(self):
         t = Trace()
         t.append(_record(0, ConfigClass.ASYMMETRIC))
         t.append(_record(1, ConfigClass.MULTIPLE))
@@ -35,10 +35,6 @@ class TestTrace:
             ConfigClass.ASYMMETRIC,
             ConfigClass.MULTIPLE,
             ConfigClass.MULTIPLE,
-        ]
-        assert t.class_transitions() == [
-            (ConfigClass.ASYMMETRIC, ConfigClass.MULTIPLE),
-            (ConfigClass.MULTIPLE, ConfigClass.MULTIPLE),
         ]
 
     def test_render_truncation(self):
@@ -98,11 +94,6 @@ class TestJsonRoundTrip:
             assert list(a.config_before.points) == list(b.config_before.points)
             assert list(a.config_after.points) == list(b.config_after.points)
             assert a.destinations == b.destinations
-
-    def test_class_transitions_survive_round_trip(self):
-        trace = self._real_trace()
-        restored = Trace.from_json(trace.to_json(indent=2))
-        assert restored.class_transitions() == trace.class_transitions()
 
     def test_bad_payload_rejected(self):
         import pytest
