@@ -9,6 +9,12 @@ lexicographic priority:
 2. **minimize** the sum of distances ``sum_q |p, q|`` over all robots,
 3. **maximize** the view ``V(p)``.
 
+The view only breaks ties of the first two, so :func:`elect` ranks the
+candidates by ``(mult, -distance sum)`` and builds views only when two
+of them tie on both; it picks the same winner as the first maximum under
+the full :func:`election_key`.  On the perfbench sweep and simulate
+pools no election ties, so class-A rounds build no view table.
+
 The elected position serves as the common gathering target; restricting
 candidates to *safe points* is the caller's job (the ``A`` case does,
 the ablation baseline deliberately does not — experiment E9).
@@ -25,6 +31,12 @@ from .views import View, view_of
 __all__ = ["election_key", "elect"]
 
 
+def _rank(config: Configuration, p: Point) -> Tuple[int, float]:
+    """The view-free head of :func:`election_key`: ``(mult, -sum)``."""
+    dist_sum = sum_of_distances(p, config.points)
+    return config.mult(p), -config.tol.quantize_length(dist_sum)
+
+
 def election_key(config: Configuration, p: Point) -> Tuple[int, float, View]:
     """Sort key realizing the paper's (mult, -sum of distances, view) order.
 
@@ -34,26 +46,23 @@ def election_key(config: Configuration, p: Point) -> Tuple[int, float, View]:
     is quantized so that robots computing it in different frames (after
     normalization) agree bitwise-stably.
     """
-    dist_sum = sum_of_distances(p, config.points)
-    return (
-        config.mult(p),
-        -config.tol.quantize_length(dist_sum),
-        view_of(config, p),
-    )
+    return _rank(config, p) + (view_of(config, p),)
 
 
 def elect(config: Configuration, candidates: Iterable[Point]) -> Point:
-    """The maximum of ``candidates`` under :func:`election_key`.
+    """The first maximum of ``candidates`` under :func:`election_key`.
 
-    Raises :class:`ValueError` on an empty candidate set (the ``A`` case
-    never hits this: Lemma 4.2 guarantees a safe point exists).
+    Views are read only when several candidates share the best
+    ``(mult, -sum)`` rank; ``max`` then keeps the first of equal views,
+    as a left-to-right scan under the full key does.  Raises
+    :class:`ValueError` on an empty candidate set (the ``A`` case never
+    hits this: Lemma 4.2 guarantees a safe point exists).
     """
-    best: Point = None  # type: ignore[assignment]
-    best_key = None
-    for p in candidates:
-        key = election_key(config, p)
-        if best_key is None or key > best_key:
-            best, best_key = p, key
-    if best_key is None:
+    ranked = [(_rank(config, p), p) for p in candidates]
+    if not ranked:
         raise ValueError("election requires at least one candidate")
-    return best
+    top = max(rank for rank, _ in ranked)
+    leaders = [p for rank, p in ranked if rank == top]
+    if len(leaders) == 1:
+        return leaders[0]
+    return max(leaders, key=lambda p: view_of(config, p))

@@ -5,14 +5,17 @@ simulations in lockstep.  Before its sims classify, and before they elect
 in an asymmetric configuration, it warms the configurations' memos with
 one sims-axis call per analysis instead of one scalar computation per
 sim: :func:`distance_sums` and :func:`batched_weiszfeld` for the Weber
-solve of quasi-regularity detection, :func:`batched_polar_views` and
-:func:`batched_max_ray_loads` for the views and ray loads of an election.
+solve of quasi-regularity detection, :func:`batched_max_ray_loads` for
+the ray loads of an election.  Views have no kernel: an election reads
+them only to break a tie, which the sweeps this engine runs never have.
 
 Every scalar computation has one implementation, the pure-Python code in
 :mod:`repro.core` and :mod:`repro.geometry.weber`; these kernels only
-have to match it.  Views and ray loads match it exactly; Weber solves
-agree within ``Tolerance.eps_solver`` and are re-certified per sim.
-``tests/property/test_prop_batched_kernels.py`` checks all three.
+have to match it.  Ray loads match it exactly; Weber solves agree within
+``Tolerance.eps_solver`` and are re-certified per sim, and a solve
+resumed from a returned iterate ends on the bits of an uninterrupted
+one, so the engine can pause its solves to screen them.
+``tests/property/test_prop_batched_kernels.py`` checks each of these.
 
 NumPy is optional.  It is imported by the first kernel call or batched
 engine, never by a scalar-engine process.
@@ -30,7 +33,6 @@ from .. import obs as _obs
 __all__ = [
     "numpy_module",
     "distance_sums",
-    "batched_polar_views",
     "batched_max_ray_loads",
     "batched_weiszfeld",
 ]
@@ -159,67 +161,6 @@ def _pad_ragged(groups, dtype):
         if counts[i]:
             out[i, : counts[i]] = g
     return out, counts
-
-
-@_timed
-def batched_polar_views(
-    origins: Sequence[Sequence[Tuple[float, float]]],
-    points: Sequence[Sequence[Tuple[float, float]]],
-    centers: Sequence[Tuple[float, float]],
-    eps_dist: float,
-    eps_angle: float,
-) -> List[List[Tuple[Tuple[float, float], ...]]]:
-    """Canonical views (Definition 2) of every origin of S sims at once.
-
-    ``origins[s]`` are sim *s*'s non-central support points (ragged —
-    padded internally), ``points[s]`` its full multiset (uniform length
-    across sims), ``centers[s]`` its SEC center.  Each view serializes
-    the multiset as sorted quantized ``(r, theta)`` pairs with the
-    reference direction towards the center.  Returns one view list per
-    sim, elementwise identical to ``repro.core.views._polar_view`` per
-    origin: padded origin rows compute garbage under suppressed fp
-    warnings and are sliced away before anything is returned.
-    """
-    arrs = [_np.asarray(g, dtype=_np.float64).reshape(-1, 2) for g in origins]
-    counts = [len(a) for a in arrs]
-    k_max = max(counts)
-    s_count = len(arrs)
-    o = _np.zeros((s_count, k_max, 2), dtype=_np.float64)
-    for i, a in enumerate(arrs):
-        o[i, : counts[i]] = a
-    p = _np.asarray(points, dtype=_np.float64)
-    c = _np.asarray(centers, dtype=_np.float64)
-
-    dx = p[:, None, :, 0] - o[:, :, 0, None]
-    dy = p[:, None, :, 1] - o[:, :, 1, None]
-    d = _np.hypot(dx, dy)
-
-    vx = c[:, None, 0] - o[:, :, 0]
-    vy = c[:, None, 1] - o[:, :, 1]
-    unit = _np.hypot(vx, vy)
-
-    with _np.errstate(divide="ignore", invalid="ignore"):
-        theta = _normalize_angles(
-            _np.arctan2(dy, dx) - _np.arctan2(vy, vx)[:, :, None]
-        )
-        zero_dir = (theta <= eps_angle) | ((_TWO_PI - theta) <= eps_angle)
-        t_q = _np.where(zero_dir, 0.0, _np.round(theta / eps_angle) * eps_angle)
-        r_q = _np.round((d / unit[:, :, None]) / eps_dist) * eps_dist
-
-        co_located = d <= eps_dist
-        r_q = _np.where(co_located, 0.0, r_q)
-        t_q = _np.where(co_located, 0.0, t_q)
-
-        order = _np.lexsort((t_q, r_q), axis=-1)
-    r_q = _np.take_along_axis(r_q, order, axis=-1)
-    t_q = _np.take_along_axis(t_q, order, axis=-1)
-    return [
-        [
-            tuple(zip(r_row, t_row))
-            for r_row, t_row in zip(r_sim[:k], t_sim[:k])
-        ]
-        for r_sim, t_sim, k in zip(r_q.tolist(), t_q.tolist(), counts)
-    ]
 
 
 #: Soft cap on S*M*M elements per batched ray-loads slab, keeping the
@@ -354,7 +295,7 @@ def batched_weiszfeld(
     starts: Sequence[Tuple[float, float]],
     eps_solver: float,
     max_iterations: int,
-) -> List[Tuple[float, float, int]]:
+) -> List[Tuple[float, float, int, bool]]:
     """Weiszfeld iteration with the Vardi-Zhang correction, S sims at once.
 
     Each sim's slice runs the iteration of
@@ -369,10 +310,13 @@ def batched_weiszfeld(
     sims.  Every elementwise operation, and every per-row sum (an
     ``add.reduce`` over the contiguous last axis), is the same on any
     set of rows, so a sim's result does not depend on the batch it is
-    solved in.  NumPy sums round differently from the reference's
-    left-to-right additions, so iterates agree within ``eps_solver``,
-    not to the bit; callers re-certify the result per sim
-    (`is_weber_point`).  Returns one ``(x, y, iterations)`` per sim.
+    solved in, and a sim resumed from a returned iterate with the
+    remaining budget ends on the bits of an uninterrupted solve.  NumPy
+    sums round differently from the reference's left-to-right
+    additions, so iterates agree within ``eps_solver``, not to the bit;
+    callers re-certify the result per sim (`is_weber_point`).  Returns
+    one ``(x, y, iterations, stopped)`` per sim, ``stopped`` False when
+    the budget ran out before the stopping rule held.
     """
     np = _np
     add = np.add
@@ -382,6 +326,7 @@ def batched_weiszfeld(
     s_count = pts.shape[0]
     out = st.T.copy()
     iters = np.full(s_count, max_iterations, dtype=np.int64)
+    stopped = np.zeros(s_count, dtype=bool)
     # The running sims: their original rows, points and iterates.
     rows = np.arange(s_count)
     p = np.ascontiguousarray(pts.transpose(2, 0, 1))
@@ -407,6 +352,7 @@ def batched_weiszfeld(
             done = rows[stop]
             out[:, done] = x[:, stop]
             iters[done] = step
+            stopped[done] = True
             keep = ~stop
             rows = rows[keep]
             p = p[:, keep]
@@ -414,7 +360,9 @@ def batched_weiszfeld(
             if rows.size == 0:
                 break
     out[:, rows] = x
-    return list(zip(out[0].tolist(), out[1].tolist(), iters.tolist()))
+    return list(
+        zip(out[0].tolist(), out[1].tolist(), iters.tolist(), stopped.tolist())
+    )
 
 
 def _vardi_zhang_step(p, x, delta, d, mask, eps_solver):

@@ -181,7 +181,11 @@ class Aggregator:
         self.resumed = 0
         self.retries = 0
         self.timeouts = 0
+        #: Rounds of seeds that ran (and shipped a payload) here; a
+        #: resumed seed's rounds ran in an earlier session, so they are
+        #: kept apart, out of the rate and of ``by_class``'s total.
         self.rounds = 0
+        self.resumed_rounds = 0
         self.verdicts: Dict[str, int] = {}
         self.workers: set = set()
         self.counters: Dict[str, int] = {}
@@ -202,7 +206,6 @@ class Aggregator:
         the delta (:func:`namespace_delta`).
         """
         self.done += 1
-        self.rounds += result.rounds
         self.verdicts[result.verdict] = (
             self.verdicts.get(result.verdict, 0) + 1
         )
@@ -211,7 +214,9 @@ class Aggregator:
             # A journal-resumed seed (or an obs-disabled worker): its
             # result counts, but it carries no registry contribution.
             self.resumed += 1
+            self.resumed_rounds += result.rounds
             return
+        self.rounds += result.rounds
         self.workers.add(payload.get("pid"))
         self.span_count += len(payload.get("spans", ()))
         delta = payload.get("metrics", {})
@@ -301,6 +306,7 @@ class Aggregator:
             },
             "rounds": {
                 "total": self.rounds,
+                "resumed": self.resumed_rounds,
                 "per_second": self.rounds_per_second(),
                 "by_class": self.class_rounds(),
             },

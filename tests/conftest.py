@@ -19,6 +19,12 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
     derandomize=True,
 )
+# The same profile forty times deeper, for the properties a CI job runs
+# on their own with ``--hypothesis-profile=repro-deep`` (tier-1 keeps
+# ``repro``).
+settings.register_profile(
+    "repro-deep", settings.get_profile("repro"), max_examples=2000
+)
 settings.load_profile("repro")
 
 

@@ -1,10 +1,12 @@
 """Unit tests for leader election (algorithm line 17)."""
 
 import random
+from unittest import mock
 
 import pytest
 
 from repro.core import Configuration, elect, election_key, safe_points
+from repro.core import views as _views
 from repro.geometry import Point, random_frame
 from repro.workloads import generate
 
@@ -61,3 +63,37 @@ class TestDeterminism:
         c = Configuration(pts)
         keys = [election_key(c, p) for p in c.support]
         assert len(set(keys)) == len(keys)  # all distinct in class A
+
+
+class TestLazyViews:
+    """Views are built only when a (mult, sum) tie needs them."""
+
+    def _elect_counting_tables(self, config, candidates):
+        with mock.patch.object(
+            _views, "_compute_view_table", wraps=_views._compute_view_table
+        ) as build:
+            winner = elect(config, candidates)
+        return winner, build.call_count
+
+    def test_an_election_without_a_tie_builds_no_view_table(self):
+        for seed in range(5):
+            c = Configuration(generate("asymmetric", 9, seed))
+            winner, tables = self._elect_counting_tables(c, safe_points(c))
+            assert tables == 0
+            assert c.memo_get("views") is None
+            assert winner == max(
+                safe_points(c), key=lambda p: election_key(c, p)
+            )
+
+    def test_a_mirror_tie_builds_the_view_table_once(self):
+        # (1, 0) and (-1, 0) both hold two robots and have bitwise-equal
+        # distance sums: only their views tell them apart.
+        pts = [Point(1, 0)] * 2 + [Point(-1, 0)] * 2 + [
+            Point(0, 3), Point(2, 5), Point(-2, 5),
+        ]
+        c = Configuration(pts)
+        winner, tables = self._elect_counting_tables(c, c.support)
+        assert tables == 1
+        assert winner in (Point(1, 0), Point(-1, 0))
+        assert winner == max(c.support, key=lambda p: election_key(c, p))
+

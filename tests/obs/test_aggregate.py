@@ -99,7 +99,8 @@ class TestAggregator:
     def test_resumed_seed_counts_without_payload(self):
         agg = Aggregator(total_seeds=2)
         agg.seed_done(_FakeResult(rounds=4, obs_payload=None))
-        assert (agg.done, agg.resumed, agg.rounds) == (1, 1, 4)
+        assert (agg.done, agg.resumed, agg.rounds) == (1, 1, 0)
+        assert agg.resumed_rounds == 4
         assert agg.verdicts == {"gathered": 1}
 
     def test_failures_split_timeouts_from_retries(self):

@@ -100,8 +100,8 @@ class TestSweepMetrics:
         assert document["counters"]["runner.runs"] == 32
         assert {
             f"geometry.kernels.{name}"
-            for name in ("batched_max_ray_loads", "batched_polar_views",
-                         "batched_weiszfeld", "distance_sums")
+            for name in ("batched_max_ray_loads", "batched_weiszfeld",
+                         "distance_sums")
         } <= set(document["stats"])
         if workers:
             assert document["workers"]
@@ -128,6 +128,36 @@ class TestSweepMetrics:
         assert code == 0
         with open(target, "r", encoding="utf-8") as handle:
             assert json.load(handle)["seeds"]["done"] == 2
+
+    def test_partial_resume_keeps_resumed_rounds_out_of_the_total(
+        self, tmp_path
+    ):
+        # A sweep cut to its first 16 journaled seeds and resumed: the
+        # 16 resumed seeds carry no registry delta, so their rounds are
+        # reported apart and ``by_class`` sums to the fresh total.
+        journal = str(tmp_path / "sweep.journal.jsonl")
+        metrics_path = str(tmp_path / "sweep-metrics.json")
+        argv = [
+            "sweep", "--workload", "random", "--n", "16", "--f", "4",
+            "--seeds", "32", "--engine", "batched", "--obs",
+            "--journal", journal,
+        ]
+        assert main(argv) == 0
+        with open(metrics_path, "r", encoding="utf-8") as handle:
+            all_rounds = json.load(handle)["rounds"]["total"]
+        with open(journal, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+        with open(journal, "w", encoding="utf-8") as handle:
+            handle.writelines(lines[:17])  # the header and 16 records
+        assert main(argv + ["--resume"]) == 0
+        with open(metrics_path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+        assert document["seeds"]["resumed"] == 16
+        rounds = document["rounds"]
+        assert rounds["total"] == sum(rounds["by_class"].values())
+        assert rounds["total"] == document["counters"]["rounds.total"]
+        assert rounds["total"] + rounds["resumed"] == all_rounds
+        assert 0 < rounds["resumed"] < all_rounds
 
 
 class TestTraceExport:

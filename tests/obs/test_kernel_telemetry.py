@@ -23,7 +23,6 @@ pytestmark = pytest.mark.usefixtures("numpy")
 
 KERNELS = (
     "batched_max_ray_loads",
-    "batched_polar_views",
     "batched_weiszfeld",
     "distance_sums",
 )

@@ -9,13 +9,15 @@ non-trivial padding, then compare each sim against its 2-D reference,
 the single-configuration code of :mod:`repro.core` and
 :mod:`repro.geometry.weber`.
 
-Ray loads and views must match exactly.  ``batched_weiszfeld`` sums in
+Ray loads must match exactly.  ``batched_weiszfeld`` sums in
 NumPy's order, not the reference's left-to-right order, so its iterate
 is only asserted within ``eps_solver`` of the reference's; the batched
 engine re-certifies every seeded Weber point.  What must hold to the bit
 is batch independence: a sim solved alone and the same sim inside any
-mixed batch return the same ``(x, y, iterations)``, which is what makes
-a batched sweep's results independent of its chunking.
+mixed batch return the same ``(x, y, iterations, stopped)``, which is
+what makes a batched sweep's results independent of its chunking, and a
+solve resumed from its iterate ends on the bits of an uninterrupted one,
+which is what lets the batched engine pause its solves to screen them.
 """
 
 import math
@@ -26,7 +28,6 @@ import pytest
 from repro.core.configuration import Configuration
 from repro.core.safe_points import _max_ray_loads_python, max_ray_load
 from repro.core.successor import MAX_ANGULAR_RESOLUTION
-from repro.core.views import _polar_view
 from repro.geometry import DEFAULT_TOLERANCE, kernels
 from repro.geometry.weber import _weiszfeld
 from repro.workloads import generate
@@ -76,38 +77,6 @@ def test_batched_max_ray_loads_chunking_is_invisible(monkeypatch):
     assert sliced == whole
 
 
-@pytest.mark.parametrize("cases", BATCHES)
-def test_batched_polar_views_matches_2d(cases):
-    configs = _configs(cases)
-    # Uniform robot count is required along the points axis; replicate
-    # each sim's multiset to the batch maximum like the engine does not
-    # need to (it batches same-round sims individually) — instead build
-    # one batch per robot count.
-    by_n = {}
-    for c in configs:
-        by_n.setdefault(c.n, []).append(c)
-    for group in by_n.values():
-        sims = []
-        for c in group:
-            center = c.sec_center()
-            noncentral = [
-                p for p in c.support if not p.close_to(center, c.tol)
-            ]
-            if noncentral:
-                sims.append((c, center, noncentral))
-        if not sims:
-            continue
-        batched = kernels.batched_polar_views(
-            [[(p.x, p.y) for p in noncentral] for _, _, noncentral in sims],
-            [[(p.x, p.y) for p in c.points] for c, _, _ in sims],
-            [(center.x, center.y) for _, center, _ in sims],
-            TOL.eps_dist,
-            TOL.eps_angle,
-        )
-        for (c, center, noncentral), got in zip(sims, batched):
-            assert got == [_polar_view(c, p, center) for p in noncentral]
-
-
 def test_batched_weiszfeld_matches_2d():
     rng = random.Random(7)
     sets = []
@@ -121,8 +90,8 @@ def test_batched_weiszfeld_matches_2d():
         for pts in sets
     ]
     batched = kernels.batched_weiszfeld(sets, starts, TOL.eps_solver, 10_000)
-    for pts, start, (gx, gy, _) in zip(sets, starts, batched):
-        ex, ey, _ = _weiszfeld(pts, start, TOL.eps_solver, 10_000)
+    for pts, start, (gx, gy, _, _) in zip(sets, starts, batched):
+        ex, ey, _, _ = _weiszfeld(pts, start, TOL.eps_solver, 10_000)
         assert math.hypot(gx - ex, gy - ey) <= TOL.eps_solver
 
 
@@ -158,7 +127,9 @@ def _weiszfeld_cases(n):
 
 
 def _bits(results):
-    return [(x.hex(), y.hex(), its) for x, y, its in results]
+    return [
+        (x.hex(), y.hex(), its, stopped) for x, y, its, stopped in results
+    ]
 
 
 @pytest.mark.parametrize("n", [3, 8, 16])
@@ -181,7 +152,7 @@ def test_batched_weiszfeld_is_batch_independent(n, max_iterations):
         max_iterations,
     )
     assert _bits(mixed) == _bits([alone[i] for i in order])
-    steps = {its for _, _, its in alone}
+    steps = {its for _, _, its, _ in alone}
     if max_iterations == 3:
         # Some sims were cut off by the cap, others stopped on their own.
         assert max_iterations in steps and len(steps) > 1
@@ -201,7 +172,50 @@ def test_batched_weiszfeld_holds_degenerate_and_fixpoint_sims():
         TOL.eps_solver,
         10_000,
     )
-    assert got == [(2.5, -1.25, 1), (0.0, 0.0, 1)]
+    assert got == [(2.5, -1.25, 1, True), (0.0, 0.0, 1, True)]
+
+
+@pytest.mark.parametrize("n", [3, 8, 16])
+def test_batched_weiszfeld_resumes_to_the_same_bits(n):
+    """Solved in segments, each resumed from the returned iterates with
+    the remaining budget (as the batched engine's screened solves are),
+    every sim ends on the bits of one uninterrupted call.  Segments end
+    where some sim stops exactly on a segment's last step; that sim
+    reports ``stopped``, apart from sims whose budget ran out there."""
+    cases = _weiszfeld_cases(n)
+    points = [pts for pts, _ in cases]
+    starts = [start for _, start in cases]
+    whole = kernels.batched_weiszfeld(points, starts, TOL.eps_solver, 10_000)
+    stops = sorted({its for _, _, its, _ in whole if 1 < its < 10_000})
+    assert stops
+    cuts = [stops[0], stops[-1], 10_000]
+    done = 0
+    rows = list(range(len(cases)))
+    current = list(starts)
+    final = {}
+    for cut in cuts:
+        if not rows:
+            break
+        got = kernels.batched_weiszfeld(
+            [points[i] for i in rows],
+            [current[i] for i in rows],
+            TOL.eps_solver,
+            cut - done,
+        )
+        still = []
+        for i, (x, y, its, stopped) in zip(rows, got):
+            if stopped or cut == 10_000:
+                final[i] = (x, y, done + its, stopped)
+                if whole[i][2] == cut:
+                    # Stopped on the segment's last step, not cut off.
+                    assert stopped and its == cut - done
+            else:
+                assert its == cut - done
+                current[i] = (x, y)
+                still.append(i)
+        rows = still
+        done = cut
+    assert _bits([final[i] for i in range(len(cases))]) == _bits(whole)
 
 
 @pytest.mark.parametrize(

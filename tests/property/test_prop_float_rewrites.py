@@ -1,13 +1,14 @@
 """The float-pair hot loops == the Point-method bodies they replaced.
 
 ``point_on_segment`` / ``point_strictly_between``,
-``smallest_enclosing_circle``, ``Configuration``'s cluster merge and the
-stacked ``batched_weiszfeld`` were rewritten for speed with every
-arithmetic operation kept, operands and order included.  Each reference
-below is the earlier body, kept verbatim as the definition the rewrite
-must reproduce: booleans equal, floats equal in ``float.hex``, merge
-maps equal key for key and object for object (so the representative of
-a ``0.0`` / ``-0.0`` tie is the same input point).
+``smallest_enclosing_circle``, ``Configuration``'s cluster merge and
+multiplicity count, and the stacked ``batched_weiszfeld`` were rewritten
+for speed with every arithmetic operation kept, operands and order
+included.  Each reference below is the earlier body, kept verbatim as
+the definition the rewrite must reproduce: booleans equal, floats equal
+in ``float.hex``, merge maps equal key for key and object for object
+(so the representative of a ``0.0`` / ``-0.0`` tie is the same input
+point).
 
 The strategies lean on the boundaries where a reordered operation
 would show: distances of exactly ``eps_dist`` and one ulp either side,
@@ -381,6 +382,37 @@ def test_merge_clusters_matches_reference(case):
     ]
 
 
+def ref_configuration_fields(points, tol):
+    """The ``Configuration.__init__`` body that counted robots per input
+    point (four ``Point`` hashes each) before it counted per merge slot."""
+    raw = tuple(points)
+    mapping = ref_merge_clusters(raw, tol)
+    merged = tuple(mapping[p] for p in raw)
+    mult: Dict[Point, int] = {}
+    for p in merged:
+        mult[p] = mult.get(p, 0) + 1
+    return merged, tuple(sorted(mult)), mapping, mult
+
+
+@given(merge_cases())
+@settings(max_examples=400)
+def test_configuration_fields_match_reference(case):
+    """Same objects in the same order: the merged points, the support,
+    the input-to-representative map and the multiplicity map (whose
+    order the tolerant fallback of ``mult`` walks)."""
+    pts, tol = case
+    config = Configuration(pts, tol)
+    merged, support, mapping, mult = ref_configuration_fields(pts, tol)
+    assert [id(p) for p in config._points] == [id(p) for p in merged]
+    assert [id(p) for p in config._support] == [id(p) for p in support]
+    assert [(id(k), id(v)) for k, v in config._rep_of_input.items()] == [
+        (id(k), id(v)) for k, v in mapping.items()
+    ]
+    assert [(id(k), m) for k, m in config._mult.items()] == [
+        (id(k), m) for k, m in mult.items()
+    ]
+
+
 def test_merge_chain_longer_than_eps_is_one_cluster():
     step = 0.9 * DEFAULT_TOLERANCE.eps_dist  # 6.3 eps end to end
     chain = [Point(k * step, 0.0) for k in range(8)] + [Point(1.0, 1.0)]
@@ -491,7 +523,8 @@ def weiszfeld_batches(draw):
 
 
 def _bits(results):
-    return [(x.hex(), y.hex(), its) for x, y, its in results]
+    # The reference predates the kernel's ``stopped`` flag.
+    return [(x.hex(), y.hex(), its) for x, y, its, *_ in results]
 
 
 @given(weiszfeld_batches())

@@ -281,7 +281,11 @@ class TestSimulationSlots:
     def test_concurrent_accounting_loses_no_update(self):
         # Dispatches in different slots fold their results at once; a
         # tiny switch interval makes an unguarded += lose updates.
-        results = [SimpleNamespace(rounds=3, verdict="gathered")] * 2000
+        results = [
+            SimpleNamespace(
+                rounds=3, verdict="gathered", obs={"pid": 0, "metrics": {}}
+            )
+        ] * 2000
         with serving() as client:
             start = threading.Barrier(8)
 
